@@ -459,6 +459,31 @@ impl LocRib {
     /// leaves candidates contiguous in prefix order for cache-friendly scans
     /// and minimal footprint.
     pub fn compact(&mut self) {
+        let (pool, slots, index) = self.compact_layout();
+        self.pool = pool;
+        self.slots = slots;
+        self.index = index;
+        self.free_slots.clear();
+        self.free_chunks.clear();
+    }
+
+    /// A compacted copy (see [`compact`](Self::compact)), leaving this RIB
+    /// in its arrival-order layout.
+    pub(crate) fn compacted(&self) -> LocRib {
+        let (pool, slots, index) = self.compact_layout();
+        LocRib {
+            store: self.store.clone(),
+            index,
+            slots,
+            free_slots: Vec::new(),
+            pool,
+            free_chunks: Vec::new(),
+            routes: self.routes,
+        }
+    }
+
+    /// The prefix-sorted, slack-free pool, slot table and index.
+    fn compact_layout(&self) -> (Vec<RouteRec>, Vec<Slot>, HashMap<Prefix, u32>) {
         let mut live: Vec<Slot> = self
             .slots
             .iter()
@@ -488,11 +513,7 @@ impl LocRib {
                 class,
             });
         }
-        self.pool = new_pool;
-        self.slots = new_slots;
-        self.index = new_index;
-        self.free_slots.clear();
-        self.free_chunks.clear();
+        (new_pool, new_slots, new_index)
     }
 }
 
@@ -730,10 +751,15 @@ mod tests {
             v.sort_by_key(|(p, _)| *p);
             v
         };
+        let copy = rib.compacted();
         rib.compact();
         let after: Vec<(Prefix, Vec<RouteRec>)> =
             rib.iter().map(|(p, r)| (*p, r.to_vec())).collect();
         assert_eq!(before, after, "compact iterates prefix-sorted");
+        let copied: Vec<(Prefix, Vec<RouteRec>)> =
+            copy.iter().map(|(p, r)| (*p, r.to_vec())).collect();
+        assert_eq!(after, copied, "compacted is compact on a copy");
+        assert_eq!(copy.approx_bytes(), rib.approx_bytes());
         assert_eq!(rib.route_count(), 3);
         assert_eq!(rib.best(&p("1.0.0.0/8")).unwrap().source.peer, PeerId(1));
     }

@@ -14,6 +14,7 @@ use bytes::Bytes;
 
 use ef_net_types::{Asn, CompressedTrie, Prefix};
 
+use crate::attrs::PathAttributes;
 use crate::attrstore::{AttrId, AttrStore, RouteRec};
 use crate::bmp::{BmpMessage, BmpPeerHeader};
 use crate::message::{RefreshSubtype, RouteRefreshMessage, UpdateMessage};
@@ -76,6 +77,39 @@ struct PeerState {
     stale_sweep: Option<BTreeSet<Prefix>>,
 }
 
+/// What import did with one announced prefix.
+enum Imported {
+    /// Accepted and installed, with the post-policy attributes.
+    Accepted(PathAttributes),
+    /// Rejected, removing the route the peer announced before.
+    Withdrawn,
+    /// Rejected, with nothing to remove.
+    Rejected,
+}
+
+/// A router's initial table, handed to the controller's route collector so
+/// it need not replay the load as BMP (see
+/// [`BgpRouter::finish_table_load`]).
+#[derive(Debug, Default)]
+pub struct TableSeed {
+    /// The Loc-RIB in arrival order: every slot, record and interned id
+    /// as a BMP-fed collector would have built them.
+    rib: LocRib,
+    /// Per prefix, the arrival number of the last non-override route
+    /// change the load made to it (1-based).
+    last_arrival: HashMap<Prefix, u64>,
+    /// Number of non-override route changes the load made.
+    arrivals: u64,
+}
+
+impl TableSeed {
+    /// The arrival-order Loc-RIB, each prefix's last arrival number, and
+    /// the number of arrivals.
+    pub fn into_parts(self) -> (LocRib, HashMap<Prefix, u64>, u64) {
+        (self.rib, self.last_arrival, self.arrivals)
+    }
+}
+
 /// A BGP peering router.
 pub struct BgpRouter {
     cfg: RouterConfig,
@@ -90,6 +124,10 @@ pub struct BgpRouter {
     /// remove). Embedders can snapshot it to revalidate cached lookup
     /// results without walking the trie.
     fib_version: u64,
+    /// Arrival stamps of the initial-table load in progress, taken by
+    /// [`finish_table_load`](Self::finish_table_load).
+    last_arrival: HashMap<Prefix, u64>,
+    arrivals: u64,
 }
 
 impl BgpRouter {
@@ -107,13 +145,15 @@ impl BgpRouter {
             bmp_queue,
             local_origins: Vec::new(),
             fib_version: 0,
+            last_arrival: HashMap::new(),
+            arrivals: 0,
         }
     }
 
     /// Attributes this router exports with its own prefixes: origin IGP,
     /// the local ASN as the path (eBGP prepend), a synthetic next hop.
-    fn export_attrs(&self) -> crate::attrs::PathAttributes {
-        crate::attrs::PathAttributes {
+    fn export_attrs(&self) -> PathAttributes {
+        PathAttributes {
             origin: crate::attrs::Origin::Igp,
             as_path: crate::attrs::AsPath::sequence([self.cfg.asn]),
             next_hop: Some(self.cfg.router_id),
@@ -379,12 +419,7 @@ impl BgpRouter {
         let Some(state) = self.peers.get_mut(&peer) else {
             return;
         };
-        let attach = state.attach.clone();
-        let source = RouteSource {
-            peer,
-            peer_asn: attach.peer_asn,
-            kind: attach.kind,
-        };
+        let peer_asn = state.attach.peer_asn;
 
         // During an enhanced-refresh replay, anything the peer re-announces
         // (or explicitly withdraws) is no longer a sweep candidate.
@@ -394,65 +429,32 @@ impl BgpRouter {
             }
         }
 
-        let mut accepted: Vec<(Prefix, crate::attrs::PathAttributes)> = Vec::new();
+        let mut accepted: Vec<(Prefix, PathAttributes)> = Vec::new();
         let mut effective_withdrawals: Vec<Prefix> = update.withdrawn.clone();
 
         for prefix in &update.announced {
-            let mut attrs = update.attrs.clone();
-            match attach.policy.apply(prefix, &mut attrs, &source) {
-                PolicyVerdict::Accept => {
-                    // Controller routes name their egress via the synthetic
-                    // next hop; organic routes use the attachment's egress.
-                    let egress = if attach.kind == PeerKind::Controller {
-                        attrs
-                            .next_hop
-                            .and_then(EgressId::from_next_hop)
-                            .unwrap_or(attach.egress)
-                    } else {
-                        attach.egress
-                    };
-                    // Attribute sets are interned: both RIBs take a handle,
-                    // paying one deep clone per *distinct* set, not per route.
-                    state.adj_in.install_ref(*prefix, &attrs, source, egress);
-                    let change = self.loc_rib.install_ref(*prefix, &attrs, source, egress);
-                    accepted.push((*prefix, attrs));
-                    Self::apply_best_change(&mut self.fib, &mut self.fib_version, *prefix, change);
-                }
-                PolicyVerdict::Reject => {
-                    // A re-announcement that now fails policy removes any
-                    // previously accepted route (treat as withdraw).
-                    if state.adj_in.withdraw(prefix).is_some() {
-                        effective_withdrawals.push(*prefix);
-                        let change = self.loc_rib.withdraw(prefix, peer);
-                        Self::apply_best_change(
-                            &mut self.fib,
-                            &mut self.fib_version,
-                            *prefix,
-                            change,
-                        );
-                    }
-                }
+            match Self::import_prefix(
+                state,
+                &mut self.loc_rib,
+                &mut self.fib,
+                &mut self.fib_version,
+                *prefix,
+                update.attrs.clone(),
+            ) {
+                Imported::Accepted(attrs) => accepted.push((*prefix, attrs)),
+                Imported::Withdrawn => effective_withdrawals.push(*prefix),
+                Imported::Rejected => {}
             }
         }
 
         for prefix in &update.withdrawn {
-            if let Some(state) = self.peers.get_mut(&peer) {
-                state.adj_in.withdraw(prefix);
-            }
+            state.adj_in.withdraw(prefix);
             let change = self.loc_rib.withdraw(prefix, peer);
             Self::apply_best_change(&mut self.fib, &mut self.fib_version, *prefix, change);
         }
 
-        // Max-prefix protection: a peer exceeding its limit is cut off.
-        if let Some(state) = self.peers.get_mut(&peer) {
-            if attach.max_prefixes > 0 && state.adj_in.len() > attach.max_prefixes {
-                let _ = state.session.stop();
-                state.up = false;
-                state.adj_in.clear();
-                let attach = state.attach.clone();
-                self.flush_peer_routes(peer, &attach, now, 3);
-                return;
-            }
+        if self.enforce_max_prefixes(peer, now) {
+            return;
         }
 
         // Mirror the post-policy view onto the BMP feed. Announcements that
@@ -460,7 +462,7 @@ impl BgpRouter {
         // group by rewritten attribute set.
         let header = BmpPeerHeader {
             peer,
-            peer_asn: attach.peer_asn,
+            peer_asn,
             peer_bgp_id: self.cfg.router_id,
             timestamp_ms: now,
         };
@@ -470,7 +472,7 @@ impl BgpRouter {
                 update: UpdateMessage::withdraw(effective_withdrawals),
             });
         }
-        let mut grouped: Vec<(crate::attrs::PathAttributes, Vec<Prefix>)> = Vec::new();
+        let mut grouped: Vec<(PathAttributes, Vec<Prefix>)> = Vec::new();
         for (prefix, attrs) in accepted {
             match grouped.iter_mut().find(|(a, _)| *a == attrs) {
                 Some((_, list)) => list.push(prefix),
@@ -486,6 +488,133 @@ impl BgpRouter {
                     announced,
                 },
             });
+        }
+    }
+
+    /// The per-prefix body of UPDATE processing, shared by the wire path
+    /// and the initial-table load: import policy, then Adj-RIB-In and
+    /// Loc-RIB install and the FIB update on accept, or treat-as-withdraw
+    /// of the peer's previous route on reject.
+    // Static over `&mut self` for the same reason as `apply_best_change`.
+    fn import_prefix(
+        state: &mut PeerState,
+        loc_rib: &mut LocRib,
+        fib: &mut CompressedTrie<FibEntry>,
+        fib_version: &mut u64,
+        prefix: Prefix,
+        mut attrs: PathAttributes,
+    ) -> Imported {
+        let attach = &state.attach;
+        let source = RouteSource {
+            peer: attach.peer,
+            peer_asn: attach.peer_asn,
+            kind: attach.kind,
+        };
+        match attach.policy.apply(&prefix, &mut attrs, &source) {
+            PolicyVerdict::Accept => {
+                // Controller routes name their egress via the synthetic
+                // next hop; organic routes use the attachment's egress.
+                let egress = if attach.kind == PeerKind::Controller {
+                    attrs
+                        .next_hop
+                        .and_then(EgressId::from_next_hop)
+                        .unwrap_or(attach.egress)
+                } else {
+                    attach.egress
+                };
+                // Attribute sets are interned: both RIBs take a handle,
+                // paying one deep clone per *distinct* set, not per route.
+                state.adj_in.install_ref(prefix, &attrs, source, egress);
+                let change = loc_rib.install_ref(prefix, &attrs, source, egress);
+                Self::apply_best_change(fib, fib_version, prefix, change);
+                Imported::Accepted(attrs)
+            }
+            PolicyVerdict::Reject => {
+                // A re-announcement that now fails policy removes any
+                // previously accepted route (treat as withdraw).
+                if state.adj_in.withdraw(&prefix).is_none() {
+                    return Imported::Rejected;
+                }
+                let change = loc_rib.withdraw(&prefix, source.peer);
+                Self::apply_best_change(fib, fib_version, prefix, change);
+                Imported::Withdrawn
+            }
+        }
+    }
+
+    /// Max-prefix protection: a peer over its limit is cut off with a
+    /// Cease and its routes flushed. Returns true if that happened.
+    fn enforce_max_prefixes(&mut self, peer: PeerId, now: Millis) -> bool {
+        let Some(state) = self.peers.get_mut(&peer) else {
+            return false;
+        };
+        let limit = state.attach.max_prefixes;
+        if limit == 0 || state.adj_in.len() <= limit {
+            return false;
+        }
+        let _ = state.session.stop();
+        state.up = false;
+        state.adj_in.clear();
+        let attach = state.attach.clone();
+        self.flush_peer_routes(peer, &attach, now, 3);
+        true
+    }
+
+    /// Loads one route of the initial table of `peer`'s freshly
+    /// established session straight into the RIBs and FIB: the same
+    /// per-prefix import as an UPDATE arriving on the session
+    /// (policy, Adj-RIB-In, Loc-RIB, FIB, max-prefix), with nothing
+    /// encoded, decoded or mirrored onto the BMP feed. `attrs` must be
+    /// what the wire would deliver — [`PeerStub::preload`] applies the
+    /// sender's next-hop fill. The controller's view comes from
+    /// [`finish_table_load`](Self::finish_table_load) instead of BMP.
+    ///
+    /// Returns whether the session is still established afterwards (false
+    /// for an unknown or down peer, and after a max-prefix teardown).
+    pub(crate) fn load_route(
+        &mut self,
+        peer: PeerId,
+        prefix: Prefix,
+        attrs: PathAttributes,
+        now: Millis,
+    ) -> bool {
+        let Some(state) = self.peers.get_mut(&peer) else {
+            return false;
+        };
+        if !state.up {
+            return false;
+        }
+        let is_override = state.attach.kind == PeerKind::Controller;
+        let imported = Self::import_prefix(
+            state,
+            &mut self.loc_rib,
+            &mut self.fib,
+            &mut self.fib_version,
+            prefix,
+            attrs,
+        );
+        // Every non-override Loc-RIB change is one arrival, exactly the
+        // BMP messages a collector would have counted.
+        if !is_override && !matches!(imported, Imported::Rejected) {
+            self.arrivals += 1;
+            self.last_arrival.insert(prefix, self.arrivals);
+        }
+        !self.enforce_max_prefixes(peer, now)
+    }
+
+    /// Ends the initial-table load. The Loc-RIB is re-laid out
+    /// prefix-sorted for the epoch loop's scans; its arrival-order layout,
+    /// with the arrival stamps of every [`PeerStub::preload`], is returned
+    /// as the [`TableSeed`] a route collector starts from — the structure
+    /// it would have built by ingesting the load as BMP. A table announced
+    /// over the wire reaches the collector as BMP instead, and its seed is
+    /// not needed.
+    pub fn finish_table_load(&mut self) -> TableSeed {
+        let compacted = self.loc_rib.compacted();
+        TableSeed {
+            rib: std::mem::replace(&mut self.loc_rib, compacted),
+            last_arrival: std::mem::take(&mut self.last_arrival),
+            arrivals: std::mem::take(&mut self.arrivals),
         }
     }
 
@@ -593,12 +722,6 @@ impl BgpRouter {
     /// Approximate resident bytes of the Loc-RIB's compact layout.
     pub fn rib_approx_bytes(&self) -> usize {
         self.loc_rib.approx_bytes()
-    }
-
-    /// Re-lays the Loc-RIB pool out prefix-sorted with no slack — call once
-    /// after a bulk table load to finish the batched build.
-    pub fn compact_rib(&mut self) {
-        self.loc_rib.compact()
     }
 
     /// Drains queued BMP messages (the monitoring feed).
@@ -760,6 +883,17 @@ impl PeerStub {
         self.session.stats()
     }
 
+    /// The attributes an announcement of `prefix` carries on the wire:
+    /// IPv4 NLRI need a NEXT_HOP, so a missing one is filled with a
+    /// documentation address (organic peers' egress is fixed by the
+    /// attachment anyway).
+    pub fn wire_attrs(prefix: &Prefix, mut attrs: PathAttributes) -> PathAttributes {
+        if attrs.next_hop.is_none() && prefix.is_v4() {
+            attrs.next_hop = Some(Ipv4Addr::new(192, 0, 2, 1));
+        }
+        attrs
+    }
+
     /// Announces a prefix with the given attributes and pumps.
     ///
     /// INVARIANT: a single-prefix announce with a next hop is far below the
@@ -769,21 +903,49 @@ impl PeerStub {
         &mut self,
         router: &mut BgpRouter,
         prefix: Prefix,
-        attrs: crate::attrs::PathAttributes,
+        attrs: PathAttributes,
         now: Millis,
     ) {
-        let mut attrs = attrs;
-        if attrs.next_hop.is_none() && prefix.is_v4() {
-            // Any next hop satisfies the wire requirement; organic peers'
-            // egress is fixed by the attachment anyway.
-            attrs.next_hop = Some(Ipv4Addr::new(192, 0, 2, 1));
-        }
+        let attrs = Self::wire_attrs(&prefix, attrs);
         if self
             .try_send_update(router, UpdateMessage::announce(prefix, attrs), now)
             .is_err()
         {
             self.send_errors += 1;
         }
+    }
+
+    /// The initial-table counterpart of [`announce`](Self::announce): the
+    /// same next-hop fill and Adj-RIB-Out bookkeeping, with the route
+    /// handed to the router's `load_route` instead of crossing the
+    /// session. Only for attribute sets the codec round-trips unchanged
+    /// (the generator's shapes; see the wire tests).
+    pub fn preload(
+        &mut self,
+        router: &mut BgpRouter,
+        prefix: Prefix,
+        attrs: PathAttributes,
+        now: Millis,
+    ) {
+        if !self.session.is_established() {
+            self.send_errors += 1;
+            return;
+        }
+        let attrs = Self::wire_attrs(&prefix, attrs);
+        self.record_sent(&[], std::slice::from_ref(&prefix), &attrs);
+        if !router.load_route(self.peer, prefix, attrs, now) {
+            // The router dropped (or never had) the session: let its
+            // NOTIFICATION reach this side, as the wire path's pump would.
+            self.pump(router, now);
+        }
+    }
+
+    /// This stub's Adj-RIB-Out: every prefix it advertises, with the
+    /// attributes last sent, in prefix order.
+    pub fn advertised(&self) -> impl Iterator<Item = (&Prefix, &PathAttributes)> {
+        self.advertised
+            .iter()
+            .map(|(prefix, id)| (prefix, self.adv_store.attrs(*id)))
     }
 
     /// Withdraws prefixes and pumps. Failures are counted, never panicked.
@@ -817,16 +979,23 @@ impl PeerStub {
         now: Millis,
     ) -> Result<(), crate::session::SessionError> {
         self.session.send_update(update.clone())?;
-        for prefix in &update.withdrawn {
+        self.record_sent(&update.withdrawn, &update.announced, &update.attrs);
+        self.pump(router, now);
+        Ok(())
+    }
+
+    /// Adj-RIB-Out bookkeeping for one sent UPDATE.
+    fn record_sent(&mut self, withdrawn: &[Prefix], announced: &[Prefix], attrs: &PathAttributes) {
+        for prefix in withdrawn {
             if let Some(old) = self.advertised.remove(prefix) {
                 self.adv_store.release(old);
             }
         }
-        if !update.announced.is_empty() {
+        if !announced.is_empty() {
             // One intern per UPDATE; additional prefixes only bump the
             // refcount on the shared attribute set.
-            let id = self.adv_store.intern(&update.attrs);
-            for (i, prefix) in update.announced.iter().enumerate() {
+            let id = self.adv_store.intern(attrs);
+            for (i, prefix) in announced.iter().enumerate() {
                 if i > 0 {
                     self.adv_store.retain(id);
                 }
@@ -835,8 +1004,6 @@ impl PeerStub {
                 }
             }
         }
-        self.pump(router, now);
-        Ok(())
     }
 
     /// Tears the session down administratively and pumps the NOTIFICATION.
@@ -1313,6 +1480,72 @@ mod tests {
         s.pump(&mut r, 3);
         assert!(r.fib_entry(&p("203.0.113.0/24")).is_none());
         assert!(r.peer_up(PeerId(1)));
+    }
+
+    #[test]
+    fn preload_installs_what_announce_installs() {
+        let routes = [
+            (1, "203.0.113.0/24", vec![65001]),
+            (2, "203.0.113.0/24", vec![65010, 65001]),
+            (1, "2001:db8:1::/48", vec![65001]),
+            (2, "198.51.100.0/25", vec![65010]), // over-specific
+            (2, "198.51.100.0/24", vec![65010, LOCAL_AS.0]), // AS loop
+            (1, "203.0.113.0/24", vec![65001, LOCAL_AS.0]), // loop withdraws
+        ];
+        let build = |bulk: bool| {
+            let mut r = router();
+            let mut stubs = [
+                wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11),
+                wire_peer(&mut r, 2, 65010, PeerKind::Transit, 12),
+            ];
+            for (peer, prefix, path) in &routes {
+                let stub = &mut stubs[*peer - 1];
+                if bulk {
+                    stub.preload(&mut r, p(prefix), attrs(path), 0);
+                } else {
+                    stub.announce(&mut r, p(prefix), attrs(path), 0);
+                }
+            }
+            let seed = r.finish_table_load();
+            (r, stubs, seed)
+        };
+        let (bulk, bulk_stubs, seed) = build(true);
+        let (wire, wire_stubs, _) = build(false);
+        for (prefix, recs) in wire.iter_candidates() {
+            assert_eq!(bulk.candidates(prefix), recs);
+            assert_eq!(bulk.fib_entry(prefix), wire.fib_entry(prefix));
+        }
+        assert_eq!(bulk.rib_route_count(), 2);
+        assert_eq!(bulk.fib_len(), wire.fib_len());
+        assert_eq!(bulk.fib_version(), wire.fib_version());
+        assert_eq!(bulk.bmp_snapshot(0), wire.bmp_snapshot(0));
+        for (a, b) in bulk_stubs.iter().zip(&wire_stubs) {
+            assert!(a.advertised().eq(b.advertised()));
+        }
+        // Four Loc-RIB changes: three installs and the loop's withdrawal.
+        assert_eq!(seed.arrivals, 4);
+        assert_eq!(seed.last_arrival[&p("203.0.113.0/24")], 4);
+        assert_eq!(seed.last_arrival[&p("2001:db8:1::/48")], 3);
+        assert_eq!(seed.rib.route_count(), 2);
+    }
+
+    #[test]
+    fn preload_over_the_prefix_limit_tears_the_session_down() {
+        let mut r = router();
+        let mut limited = attach(1, 65001, PeerKind::PublicPeer, 10);
+        limited.max_prefixes = 1;
+        r.add_peer(limited);
+        let mut s = stub(1, 65001);
+        s.pump(&mut r, 0);
+        s.preload(&mut r, p("50.0.0.0/24"), attrs(&[65001]), 1);
+        assert!(r.peer_up(PeerId(1)));
+        s.preload(&mut r, p("50.0.1.0/24"), attrs(&[65001]), 2);
+        assert!(!r.peer_up(PeerId(1)), "session torn down");
+        assert!(!s.is_established(), "the Cease reached the stub");
+        assert_eq!(r.fib_len(), 0);
+        // A stub whose session is down counts the load as a failed send.
+        s.preload(&mut r, p("50.0.2.0/24"), attrs(&[65001]), 3);
+        assert_eq!(s.send_errors(), 1);
     }
 
     #[test]

@@ -1017,6 +1017,45 @@ mod tests {
         assert_eq!(decoded, BgpMessage::Update(update));
     }
 
+    /// `PeerStub::preload` hands attributes to the router without the
+    /// codec, which is sound only because every shape the topology
+    /// generator announces decodes to exactly what was encoded: IPv4 with
+    /// the sender's next-hop fill, IPv6 with no next hop, MED on and off,
+    /// paths of one to three ASNs (4-octet ones included).
+    #[test]
+    fn generated_announcements_round_trip_unchanged() {
+        let prefixes: [Prefix; 2] = [
+            "203.0.113.0/24".parse().unwrap(),
+            "2001:db8:1::/48".parse().unwrap(),
+        ];
+        for prefix in prefixes {
+            for med in [None, Some(0), Some(99)] {
+                for len in 1..=3u32 {
+                    let attrs = crate::router::PeerStub::wire_attrs(
+                        &prefix,
+                        PathAttributes {
+                            as_path: AsPath::sequence((0..len).map(|i| Asn(64_500 + 200_000 * i))),
+                            med,
+                            ..Default::default()
+                        },
+                    );
+                    let expected_nh = prefix.is_v4().then(|| Ipv4Addr::new(192, 0, 2, 1));
+                    assert_eq!(attrs.next_hop, expected_nh);
+                    let msg = BgpMessage::Update(UpdateMessage::announce(prefix, attrs));
+                    assert_eq!(
+                        round_trip(msg.clone()),
+                        msg,
+                        "{prefix} med={med:?} len={len}"
+                    );
+                    let mut bytes = encode_message(&msg).unwrap();
+                    let graded = decode_message_graded(&mut bytes).unwrap().unwrap();
+                    assert_eq!(graded.msg, msg, "{prefix} med={med:?} len={len}");
+                    assert_eq!(graded.discarded_attrs, 0);
+                }
+            }
+        }
+    }
+
     #[test]
     fn update_withdraw_only_needs_no_next_hop() {
         let update = UpdateMessage::withdraw(["10.0.0.0/8".parse().unwrap()]);

@@ -18,6 +18,7 @@ use ef_bgp::bmp::BmpMessage;
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::rib::LocRib;
 use ef_bgp::route::{EgressId, Route, RouteSource};
+use ef_bgp::router::TableSeed;
 use ef_net_types::Prefix;
 
 /// Maintains the controller's merged route view from BMP.
@@ -45,6 +46,25 @@ impl RouteCollector {
             generation: 0,
             generations: HashMap::new(),
         }
+    }
+
+    /// Restarts the route view from a router's initial table (see
+    /// [`BgpRouter::finish_table_load`](ef_bgp::router::BgpRouter::finish_table_load))
+    /// instead of ingesting it as BMP. The seed's Loc-RIB is exactly what
+    /// that ingest would have built, and its arrival stamps are the
+    /// generation stamps ingest would have issued: the n-th non-override
+    /// route change stamps its prefix n. Like a fresh collector, the
+    /// seeded view starts a new stamp lifetime; memos keyed on the old
+    /// stamps must be dropped.
+    pub fn seed(&mut self, seed: TableSeed) {
+        let (rib, generations, generation) = seed.into_parts();
+        *self = RouteCollector {
+            peer_egress: std::mem::take(&mut self.peer_egress),
+            rib,
+            dropped: 0,
+            generation,
+            generations,
+        };
     }
 
     /// Stamps `prefix` with a fresh generation.

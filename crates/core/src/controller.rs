@@ -27,7 +27,7 @@ use ef_bgp::backoff::ReconnectGovernor;
 use ef_bgp::bmp::BmpMessage;
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::route::EgressId;
-use ef_bgp::router::BgpRouter;
+use ef_bgp::router::{BgpRouter, TableSeed};
 use ef_bgp::session::Millis;
 use ef_telemetry::{audit_overrides, ExplainRecord, ExplainVerdict, TelemetryHandle};
 
@@ -266,6 +266,15 @@ impl PopController {
     /// [`run_epoch`](Self::run_epoch).
     pub fn ingest_bmp(&mut self, messages: impl IntoIterator<Item = BmpMessage>) {
         self.collector.ingest(messages);
+    }
+
+    /// Starts the route collector from the router's initial table (see
+    /// [`RouteCollector::seed`]) — the bulk-load alternative to ingesting
+    /// the load's BMP backlog. Drops the projection memo, whose stamps
+    /// belonged to the replaced view.
+    pub fn seed_routes(&mut self, seed: TableSeed) {
+        self.collector.seed(seed);
+        self.projection_cache = ProjectionCache::new();
     }
 
     /// Installs the §6 performance-override intents the capacity pass must

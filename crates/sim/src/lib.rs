@@ -2,8 +2,9 @@
 //!
 //! Wires a generated [`ef_topology::Deployment`] into live substrate: one
 //! consolidated [`BgpRouter`](ef_bgp::router::BgpRouter) per PoP with a
-//! [`PeerStub`](ef_bgp::router::PeerStub) per adjacency announcing the
-//! deployment's route sets over real BGP sessions, the
+//! [`PeerStub`](ef_bgp::router::PeerStub) per adjacency holding a real BGP
+//! session (the initial route sets are loaded in bulk; everything after
+//! crosses the sessions), the
 //! [`ef_traffic::DemandModel`] offering diurnal demand, and (optionally)
 //! one [`edge_fabric::PopController`] per PoP running 30-second epochs.
 //!

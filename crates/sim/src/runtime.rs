@@ -31,13 +31,13 @@ use ef_bgp::bmp::BmpMessage;
 use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::PeerId;
 use ef_bgp::route::EgressId;
-use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
+use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig, TableSeed};
 use ef_bgp::wire::encode_message;
 use ef_chaos::{FaultEvent, FaultKind, FaultTarget};
 use ef_net_types::{Asn, Prefix};
 use ef_perf::measurement::{AltPathMeasurer, CandidatePath, MeasurerConfig};
 use ef_perf::rtt::PathPerfModel;
-use ef_topology::{BillingMeter, Deployment, Pop, PopId};
+use ef_topology::{BillingMeter, Deployment, PeerConn, Pop, PopId, RouteSpec};
 use ef_traffic::demand::DemandPoint;
 use ef_traffic::estimator::RateEstimator;
 use ef_traffic::sampler::{SamplerConfig, SflowSampler};
@@ -221,9 +221,16 @@ pub struct PopRuntime {
 }
 
 impl PopRuntime {
-    /// Builds the runtime: router, peers, announcements, controller.
+    /// Builds the runtime: router, peers, initial table, controller.
+    ///
+    /// The deployment's route set is loaded straight into the router's
+    /// RIBs and FIB and into the controller's route view
+    /// ([`PeerStub::preload`], [`BgpRouter::finish_table_load`]); nothing
+    /// crosses a session or the BMP feed. Everything after the build —
+    /// session recovery replays, update corruption, overrides — runs over
+    /// the real sessions.
     pub fn build(deployment: &Deployment, pop_id: PopId, cfg: &SimConfig) -> Self {
-        let pop = deployment.pop(pop_id).clone();
+        let pop = deployment.pop(pop_id);
         let mut router = BgpRouter::new(RouterConfig {
             name: format!("{}-pr0", pop.name),
             asn: deployment.local_asn,
@@ -233,19 +240,8 @@ impl PopRuntime {
         // Attach every peer and bring its session up.
         let mut stubs = HashMap::new();
         for conn in &pop.peers {
-            router.add_peer(PeerAttachment {
-                peer: conn.peer,
-                peer_asn: conn.asn,
-                kind: conn.kind(),
-                egress: conn.egress,
-                policy: ef_bgp::policy::Policy::default_import(deployment.local_asn, conn.kind()),
-                max_prefixes: 0,
-            });
-            let mut stub = PeerStub::new(
-                conn.peer,
-                conn.asn,
-                std::net::Ipv4Addr::new(10, 210, (conn.peer.0 >> 8) as u8, conn.peer.0 as u8),
-            );
+            router.add_peer(peer_attachment(conn, deployment.local_asn));
+            let mut stub = peer_stub(conn);
             stub.pump(&mut router, 0);
             debug_assert!(stub.is_established());
             stubs.insert(conn.peer, stub);
@@ -256,33 +252,50 @@ impl PopRuntime {
             router.originate(*prefix);
         }
 
-        // Announce the deployment's route set over the real sessions,
-        // remembering each peer's announcements so a failed session can be
-        // replayed on recovery.
+        for spec in deployment.routes_at(pop_id) {
+            if let Some(stub) = stubs.get_mut(&spec.via) {
+                let prefix = deployment.universe.prefixes[spec.prefix_idx as usize].prefix;
+                stub.preload(&mut router, prefix, spec_attrs(spec), 0);
+            }
+        }
+        let table = router.finish_table_load();
+        Self::with_substrate(deployment, pop_id, cfg, router, stubs, table)
+    }
+
+    /// Assembles a runtime around a PoP's loaded routing substrate: the
+    /// router with every peer of the PoP attached and its initial table
+    /// installed, one established stub per peer, and the table the
+    /// controller's route collector starts from — empty when the router's
+    /// BMP feed still carries the table. [`build`](Self::build) loads the
+    /// substrate in bulk; a test can hand in one loaded over the wire.
+    pub fn with_substrate(
+        deployment: &Deployment,
+        pop_id: PopId,
+        cfg: &SimConfig,
+        mut router: BgpRouter,
+        stubs: HashMap<PeerId, PeerStub>,
+        table: TableSeed,
+    ) -> Self {
+        let pop = deployment.pop(pop_id).clone();
+
+        // Each peer's announcements, replayed over the wire when a failed
+        // session is re-established.
         let mut announcements: HashMap<PeerId, Vec<(Prefix, ef_bgp::attrstore::AttrId)>> =
             HashMap::new();
         let mut ann_store = ef_bgp::attrstore::AttrStore::new();
         for spec in deployment.routes_at(pop_id) {
-            let prefix = deployment.universe.prefixes[spec.prefix_idx as usize].prefix;
-            let attrs = PathAttributes {
-                as_path: AsPath::sequence(spec.as_path.iter().copied()),
-                med: spec.med,
-                ..Default::default()
-            };
-            if let Some(stub) = stubs.get_mut(&spec.via) {
-                stub.announce(&mut router, prefix, attrs.clone(), 0);
+            if stubs.contains_key(&spec.via) {
+                let prefix = deployment.universe.prefixes[spec.prefix_idx as usize].prefix;
+                let id = ann_store.intern(&spec_attrs(spec));
                 announcements
                     .entry(spec.via)
                     .or_default()
-                    .push((prefix, ann_store.intern(&attrs)));
+                    .push((prefix, id));
             }
         }
-        // The bulk load above appended route chunks in arrival order;
-        // re-lay the pool out prefix-sorted once so the epoch loop scans
-        // the Loc-RIB with locality.
-        router.compact_rib();
 
-        // Controller, fed by the router's BMP feed.
+        // Controller, started from the initial table and fed by the
+        // router's BMP feed from then on.
         let mut controller_cfg = cfg.controller;
         controller_cfg.epoch_secs = cfg.epoch_secs;
         controller_cfg.incremental = cfg.incremental;
@@ -302,6 +315,7 @@ impl PopRuntime {
                 .collect();
             let mut ctl = PopController::new(pop_id.0, controller_cfg, interfaces, &mut router);
             ctl.set_telemetry(cfg.telemetry.clone());
+            ctl.seed_routes(table);
             ctl.ingest_bmp(router.drain_bmp());
             ctl
         });
@@ -692,28 +706,14 @@ impl PopRuntime {
         // refresh for this peer.
         self.peers_wanting_refresh.remove(&peer);
         self.router.remove_peer(conn.peer, now_ms);
-        self.router.add_peer(PeerAttachment {
-            peer: conn.peer,
-            peer_asn: conn.asn,
-            kind: conn.kind(),
-            egress: conn.egress,
-            policy: ef_bgp::policy::Policy::default_import(self.local_asn, conn.kind()),
-            max_prefixes: 0,
-        });
-        let mut stub = PeerStub::new(
-            conn.peer,
-            conn.asn,
-            std::net::Ipv4Addr::new(10, 210, (conn.peer.0 >> 8) as u8, conn.peer.0 as u8),
-        );
+        self.router.add_peer(peer_attachment(&conn, self.local_asn));
+        let mut stub = peer_stub(&conn);
         stub.pump(&mut self.router, now_ms);
-        for (prefix, id) in self
-            .announcements
-            .get(&conn.peer)
-            .cloned()
-            .unwrap_or_default()
-        {
-            let attrs = self.ann_store.attrs(id).clone();
-            stub.announce(&mut self.router, prefix, attrs, now_ms);
+        // Split borrow: the replay reads the announcement table while the
+        // stub drives the router, so nothing is copied.
+        let (router, store) = (&mut self.router, &self.ann_store);
+        for (prefix, id) in self.announcements.get(&conn.peer).into_iter().flatten() {
+            stub.announce(router, *prefix, store.attrs(*id).clone(), now_ms);
         }
         self.stubs.insert(conn.peer, stub);
     }
@@ -773,12 +773,9 @@ impl PopRuntime {
                 if self.corruption_rng.gen::<f64>() >= *rate {
                     continue;
                 }
-                let mut attrs = self.ann_store.attrs(*id).clone();
-                if attrs.next_hop.is_none() && prefix.is_v4() {
-                    // Same fill as `PeerStub::announce` so the frame
-                    // encodes validly before mangling.
-                    attrs.next_hop = Some(std::net::Ipv4Addr::new(192, 0, 2, 1));
-                }
+                // The announcement as it crosses the wire, so the frame
+                // encodes validly before mangling.
+                let attrs = PeerStub::wire_attrs(prefix, self.ann_store.attrs(*id).clone());
                 let msg = BgpMessage::Update(UpdateMessage::announce(*prefix, attrs));
                 let Ok(bytes) = encode_message(&msg) else {
                     continue;
@@ -1432,6 +1429,11 @@ impl PopRuntime {
         self.stubs.values().all(|s| s.is_established())
     }
 
+    /// The remote end of `peer`'s session, if the peer is attached here.
+    pub fn stub(&self, peer: PeerId) -> Option<&PeerStub> {
+        self.stubs.get(&peer)
+    }
+
     /// Established peer sessions torn down over the run (fault shutdowns
     /// and bounces). The ROUTE-REFRESH recovery path keeps this at zero
     /// for pure update-corruption faults.
@@ -1457,5 +1459,36 @@ impl PopRuntime {
                 });
             }
         }
+    }
+}
+
+/// How the PoP's router attaches `conn`: the default import policy, no
+/// prefix limit.
+fn peer_attachment(conn: &PeerConn, local_asn: Asn) -> PeerAttachment {
+    PeerAttachment {
+        peer: conn.peer,
+        peer_asn: conn.asn,
+        kind: conn.kind(),
+        egress: conn.egress,
+        policy: ef_bgp::policy::Policy::default_import(local_asn, conn.kind()),
+        max_prefixes: 0,
+    }
+}
+
+/// The remote end of `conn`'s session (not yet connected).
+fn peer_stub(conn: &PeerConn) -> PeerStub {
+    PeerStub::new(
+        conn.peer,
+        conn.asn,
+        std::net::Ipv4Addr::new(10, 210, (conn.peer.0 >> 8) as u8, conn.peer.0 as u8),
+    )
+}
+
+/// The attributes a route spec is announced with.
+fn spec_attrs(spec: &RouteSpec) -> PathAttributes {
+    PathAttributes {
+        as_path: AsPath::sequence(spec.as_path.iter().copied()),
+        med: spec.med,
+        ..Default::default()
     }
 }
