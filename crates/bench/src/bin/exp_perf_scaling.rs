@@ -1,7 +1,7 @@
 //! Epoch-engine throughput sweep — incremental vs. from-scratch hot paths.
 //!
 //! Runs the same seeded scenario twice per sweep point, once with the
-//! incremental epoch engine (dirty-prefix projection memo, version-checked
+//! incremental epoch engine (dirty-prefix projection memo, prefix-invalidated
 //! FIB lookup cache, dense load accumulators) and once with
 //! `incremental = false`, which takes the pre-existing from-scratch paths.
 //! The determinism suite proves the two arms byte-identical; this binary

@@ -66,6 +66,59 @@ pub struct FibEntry {
     pub is_override: bool,
 }
 
+/// The forwarding table with its change tracking. Every mutation goes
+/// through [`apply_best_change`](Self::apply_best_change), which bumps the
+/// version and logs the prefix it changed.
+struct Fib {
+    trie: CompressedTrie<FibEntry>,
+    /// Monotonic counter bumped on every FIB mutation (install, replace,
+    /// remove). Embedders can snapshot it to revalidate cached lookup
+    /// results without walking the trie.
+    version: u64,
+    /// Prefixes whose entry changed since the last
+    /// [`take_fib_changes`](BgpRouter::take_fib_changes), in mutation
+    /// order. `None` once the log held as many entries as the trie holds
+    /// prefixes: a change that large is reported as "everything", which
+    /// keeps an undrained log at O(FIB).
+    changes: Option<Vec<Prefix>>,
+}
+
+impl Fib {
+    fn new() -> Self {
+        Fib {
+            trie: CompressedTrie::new(),
+            version: 0,
+            changes: Some(Vec::new()),
+        }
+    }
+
+    fn apply_best_change(&mut self, prefix: Prefix, change: BestChange) {
+        match change {
+            BestChange::Unchanged => return,
+            BestChange::NewBest(route) => {
+                self.trie.insert(
+                    prefix,
+                    FibEntry {
+                        egress: route.egress,
+                        peer: route.source.peer,
+                        is_override: route.is_override(),
+                    },
+                );
+            }
+            BestChange::Unreachable => {
+                self.trie.remove(&prefix);
+            }
+        }
+        self.version += 1;
+        if let Some(log) = &mut self.changes {
+            log.push(prefix);
+            if log.len() >= self.trie.len() {
+                self.changes = None;
+            }
+        }
+    }
+}
+
 struct PeerState {
     attach: PeerAttachment,
     session: Session,
@@ -115,15 +168,11 @@ pub struct BgpRouter {
     cfg: RouterConfig,
     peers: HashMap<PeerId, PeerState>,
     loc_rib: LocRib,
-    fib: CompressedTrie<FibEntry>,
+    fib: Fib,
     bmp_queue: Vec<BmpMessage>,
     /// Locally originated prefixes (the content provider's own nets),
     /// exported to every real peer with the local ASN prepended.
     local_origins: Vec<Prefix>,
-    /// Monotonic counter bumped on every FIB mutation (install, replace,
-    /// remove). Embedders can snapshot it to revalidate cached lookup
-    /// results without walking the trie.
-    fib_version: u64,
     /// Arrival stamps of the initial-table load in progress, taken by
     /// [`finish_table_load`](Self::finish_table_load).
     last_arrival: HashMap<Prefix, u64>,
@@ -141,10 +190,9 @@ impl BgpRouter {
             cfg,
             peers: HashMap::new(),
             loc_rib: LocRib::new(),
-            fib: CompressedTrie::new(),
+            fib: Fib::new(),
             bmp_queue,
             local_origins: Vec::new(),
-            fib_version: 0,
             last_arrival: HashMap::new(),
             arrivals: 0,
         }
@@ -401,7 +449,7 @@ impl BgpRouter {
     ) {
         let changes = self.loc_rib.withdraw_peer(peer);
         for (prefix, change) in changes {
-            Self::apply_best_change(&mut self.fib, &mut self.fib_version, prefix, change);
+            self.fib.apply_best_change(prefix, change);
         }
         self.bmp_queue.push(BmpMessage::PeerDown {
             peer: BmpPeerHeader {
@@ -437,7 +485,6 @@ impl BgpRouter {
                 state,
                 &mut self.loc_rib,
                 &mut self.fib,
-                &mut self.fib_version,
                 *prefix,
                 update.attrs.clone(),
             ) {
@@ -450,7 +497,7 @@ impl BgpRouter {
         for prefix in &update.withdrawn {
             state.adj_in.withdraw(prefix);
             let change = self.loc_rib.withdraw(prefix, peer);
-            Self::apply_best_change(&mut self.fib, &mut self.fib_version, *prefix, change);
+            self.fib.apply_best_change(*prefix, change);
         }
 
         if self.enforce_max_prefixes(peer, now) {
@@ -495,12 +542,12 @@ impl BgpRouter {
     /// and the initial-table load: import policy, then Adj-RIB-In and
     /// Loc-RIB install and the FIB update on accept, or treat-as-withdraw
     /// of the peer's previous route on reject.
-    // Static over `&mut self` for the same reason as `apply_best_change`.
+    // Static over `&mut self` because callers hold a borrow into
+    // `self.peers` while mutating the RIBs and FIB.
     fn import_prefix(
         state: &mut PeerState,
         loc_rib: &mut LocRib,
-        fib: &mut CompressedTrie<FibEntry>,
-        fib_version: &mut u64,
+        fib: &mut Fib,
         prefix: Prefix,
         mut attrs: PathAttributes,
     ) -> Imported {
@@ -526,7 +573,7 @@ impl BgpRouter {
                 // paying one deep clone per *distinct* set, not per route.
                 state.adj_in.install_ref(prefix, &attrs, source, egress);
                 let change = loc_rib.install_ref(prefix, &attrs, source, egress);
-                Self::apply_best_change(fib, fib_version, prefix, change);
+                fib.apply_best_change(prefix, change);
                 Imported::Accepted(attrs)
             }
             PolicyVerdict::Reject => {
@@ -536,7 +583,7 @@ impl BgpRouter {
                     return Imported::Rejected;
                 }
                 let change = loc_rib.withdraw(&prefix, source.peer);
-                Self::apply_best_change(fib, fib_version, prefix, change);
+                fib.apply_best_change(prefix, change);
                 Imported::Withdrawn
             }
         }
@@ -585,14 +632,7 @@ impl BgpRouter {
             return false;
         }
         let is_override = state.attach.kind == PeerKind::Controller;
-        let imported = Self::import_prefix(
-            state,
-            &mut self.loc_rib,
-            &mut self.fib,
-            &mut self.fib_version,
-            prefix,
-            attrs,
-        );
+        let imported = Self::import_prefix(state, &mut self.loc_rib, &mut self.fib, prefix, attrs);
         // Every non-override Loc-RIB change is one arrival, exactly the
         // BMP messages a collector would have counted.
         if !is_override && !matches!(imported, Imported::Rejected) {
@@ -618,53 +658,35 @@ impl BgpRouter {
         }
     }
 
-    // Static over `&mut self` because callers hold disjoint borrows into
-    // `self.peers` while mutating the FIB.
-    fn apply_best_change(
-        fib: &mut CompressedTrie<FibEntry>,
-        version: &mut u64,
-        prefix: Prefix,
-        change: BestChange,
-    ) {
-        match change {
-            BestChange::Unchanged => return,
-            BestChange::NewBest(route) => {
-                fib.insert(
-                    prefix,
-                    FibEntry {
-                        egress: route.egress,
-                        peer: route.source.peer,
-                        is_override: route.is_override(),
-                    },
-                );
-            }
-            BestChange::Unreachable => {
-                fib.remove(&prefix);
-            }
-        }
-        *version += 1;
-    }
-
     /// Monotonic FIB version: changes iff the FIB changed since the last
     /// observation, so `fib_version() == cached_version` proves every cached
     /// [`fib_lookup`](Self::fib_lookup) result is still current.
     pub fn fib_version(&self) -> u64 {
-        self.fib_version
+        self.fib.version
+    }
+
+    /// Takes the log of prefixes whose FIB entry changed since the last
+    /// take, in mutation order (a prefix changed twice is listed twice).
+    /// A change at prefix `P` can only move the longest match of keys `P`
+    /// contains. `None` means the changes were too many to list — as many
+    /// as the FIB holds prefixes — and every cached lookup is stale.
+    pub fn take_fib_changes(&mut self) -> Option<Vec<Prefix>> {
+        self.fib.changes.replace(Vec::new())
     }
 
     /// Longest-prefix-match forwarding lookup.
     pub fn fib_lookup(&self, key: Prefix) -> Option<(Prefix, &FibEntry)> {
-        self.fib.longest_match(key)
+        self.fib.trie.longest_match(key)
     }
 
     /// The exact FIB entry for a prefix, if installed.
     pub fn fib_entry(&self, prefix: &Prefix) -> Option<&FibEntry> {
-        self.fib.get(prefix)
+        self.fib.trie.get(prefix)
     }
 
     /// Number of prefixes in the FIB.
     pub fn fib_len(&self) -> usize {
-        self.fib.len()
+        self.fib.trie.len()
     }
 
     /// The router's full view of candidates for a prefix (all peers).
@@ -1403,6 +1425,90 @@ mod tests {
             r.fib_version() > v2,
             "flushing a peer's winning route bumps the version"
         );
+    }
+
+    /// The change log since the last take, sorted.
+    fn changes(r: &mut BgpRouter) -> Vec<Prefix> {
+        let mut log = r.take_fib_changes().expect("log below the overflow bound");
+        log.sort();
+        log
+    }
+
+    #[test]
+    fn fib_change_log_lists_every_mutating_path() {
+        let mut r = router();
+        let mut transit = wire_peer(&mut r, 1, 65010, PeerKind::Transit, 10);
+        let mut peer = wire_peer(&mut r, 2, 65001, PeerKind::PrivatePeer, 20);
+        // A background table keeps each step's log below the bound.
+        for i in 0..16 {
+            transit.announce(&mut r, p(&format!("60.0.{i}.0/24")), attrs(&[65010]), 1);
+        }
+        assert_eq!(r.take_fib_changes(), None, "the load outgrew the log");
+        assert_eq!(changes(&mut r), vec![], "a second take is empty");
+
+        let target = p("203.0.113.0/24");
+        transit.announce(&mut r, target, attrs(&[65010]), 1);
+        assert_eq!(changes(&mut r), vec![target], "install");
+        peer.announce(&mut r, target, attrs(&[65001]), 1);
+        assert_eq!(changes(&mut r), vec![target], "replace");
+        transit.announce(&mut r, target, attrs(&[65010]), 2);
+        assert_eq!(
+            changes(&mut r),
+            vec![],
+            "a losing candidate is not a change"
+        );
+        transit.withdraw(&mut r, [p("60.0.0.0/24")], 2);
+        assert_eq!(changes(&mut r), vec![p("60.0.0.0/24")], "withdraw");
+
+        // A re-announcement that fails policy withdraws the accepted one.
+        let looped = p("198.51.100.0/24");
+        peer.announce(&mut r, looped, attrs(&[65001]), 3);
+        assert_eq!(changes(&mut r), vec![looped]);
+        peer.announce(&mut r, looped, attrs(&[65001, LOCAL_AS.0]), 3);
+        assert_eq!(changes(&mut r), vec![looped], "treat-as-withdraw");
+
+        // Override inject.
+        let marker = ef_net_types::Community::new(32934, 999);
+        r.add_peer(PeerAttachment {
+            peer: PeerId(100),
+            peer_asn: LOCAL_AS,
+            kind: PeerKind::Controller,
+            egress: EgressId(0),
+            policy: Policy::controller_import(marker),
+            max_prefixes: 0,
+        });
+        let mut ctrl = stub(100, LOCAL_AS.0);
+        ctrl.pump(&mut r, 4);
+        let mut oattrs = PathAttributes {
+            next_hop: Some(EgressId(10).to_next_hop().unwrap()),
+            ..Default::default()
+        };
+        oattrs.add_community(marker);
+        ctrl.announce(&mut r, p("60.0.1.0/25"), oattrs, 4);
+        assert_eq!(changes(&mut r), vec![p("60.0.1.0/25")], "override inject");
+
+        // Peer flush: only the prefixes the peer was best for change.
+        peer.shutdown(&mut r, 5);
+        assert_eq!(changes(&mut r), vec![target], "peer flush");
+
+        // Max-prefix teardown: the breaching install, then the flush.
+        let mut limited = attach(3, 65003, PeerKind::PrivatePeer, 30);
+        limited.max_prefixes = 1;
+        r.add_peer(limited);
+        let mut s = stub(3, 65003);
+        s.pump(&mut r, 6);
+        s.announce(&mut r, p("70.0.0.0/24"), attrs(&[65003]), 6);
+        assert_eq!(changes(&mut r), vec![p("70.0.0.0/24")]);
+        s.announce(&mut r, p("70.0.1.0/24"), attrs(&[65003]), 6);
+        assert!(!r.peer_up(PeerId(3)));
+        let p0 = p("70.0.0.0/24");
+        let p1 = p("70.0.1.0/24");
+        assert_eq!(changes(&mut r), vec![p0, p1, p1], "max-prefix teardown");
+
+        // A flush as large as what the FIB keeps collapses the log.
+        transit.shutdown(&mut r, 7);
+        assert_eq!(r.take_fib_changes(), None, "overflow");
+        assert_eq!(changes(&mut r), vec![]);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 pub mod chaos;
 pub mod engine;
+mod fib_cache;
 pub mod metrics;
 pub mod report;
 pub mod runtime;

@@ -44,6 +44,7 @@ use ef_traffic::sampler::{SamplerConfig, SflowSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fib_cache::FibCache;
 use crate::metrics::{MetricsStore, PopEpochRecord};
 use crate::scenario::SimConfig;
 
@@ -56,20 +57,6 @@ const MEASURE_TOP_K: usize = 150;
 /// traffic-input age starts growing. Below it, the collector still gets
 /// (under-counted) fresh estimates.
 const SEVERE_SFLOW_DROP: f64 = 0.9;
-
-/// One slot of the per-prefix-unit FIB lookup cache. `Unknown` means the
-/// unit has not been looked up since the cache was last invalidated.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FibCacheEntry {
-    Unknown,
-    /// The trie has no route for this unit.
-    NoRoute,
-    /// Longest-match result for the unit: egress and override flag.
-    Route {
-        egress: EgressId,
-        is_override: bool,
-    },
-}
 
 /// Per-tick signals derived from the active fault windows.
 #[derive(Debug, Default)]
@@ -126,26 +113,19 @@ pub struct PopRuntime {
     /// Metrics collected at this PoP.
     pub metrics: MetricsStore,
     /// Prefix index → prefix for the whole universe.
-    prefix_of: Vec<Prefix>,
+    prefix_of: Arc<[Prefix]>,
     epoch_secs: u64,
     util_limit: f64,
     /// When the controller may split prefixes, demand must be forwarded at
     /// half-prefix granularity so /25 (or /49) overrides take effect.
     split_lookup: bool,
-    /// Run the forwarding loop through the version-checked FIB cache
+    /// Run the forwarding loop through the FIB cache
     /// (`SimConfig::incremental`). Off recomputes every lookup from the
     /// trie — same results, for cross-checking and benchmarking.
     incremental: bool,
-    /// Per-universe-prefix lookup units, precomputed once: the unit to
-    /// look up, plus the second half when split forwarding is on and the
-    /// prefix is splittable.
-    lookup_units: Vec<(Prefix, Option<Prefix>)>,
-    /// FIB lookup cache, two slots per universe prefix (whole prefix in
-    /// slot 0; halves in slots 0 and 1 under split forwarding). Valid only
-    /// while the router's FIB version equals `fib_cache_version`.
-    fib_cache: Vec<[FibCacheEntry; 2]>,
-    /// Router FIB version the cache entries were resolved against.
-    fib_cache_version: u64,
+    /// Per-lookup-unit forwarding results, kept current by the router's
+    /// FIB change log.
+    fib_cache: FibCache,
     /// Interface → dense slot in `load_scratch` (position in
     /// `pop.interfaces`, which never reorders).
     slot_of: HashMap<EgressId, usize>,
@@ -369,29 +349,16 @@ impl PopRuntime {
             .map(|i| (i.id, i.capacity_mbps))
             .collect();
 
-        let prefix_of: Vec<Prefix> = deployment
+        let prefix_of: Arc<[Prefix]> = deployment
             .universe
             .prefixes
             .iter()
             .map(|p| p.prefix)
             .collect();
         let split_lookup = cfg.controller.split_depth > 0;
-        // Lookup units are a pure function of the universe and the split
-        // setting: precompute them once instead of re-deriving the halves
-        // on every forwarding tick.
-        let lookup_units: Vec<(Prefix, Option<Prefix>)> = prefix_of
-            .iter()
-            .map(|prefix| {
-                if split_lookup {
-                    match prefix.halves() {
-                        Some((lo, hi)) => (lo, Some(hi)),
-                        None => (*prefix, None),
-                    }
-                } else {
-                    (*prefix, None)
-                }
-            })
-            .collect();
+        let fib_cache = FibCache::new(Arc::clone(&prefix_of), split_lookup);
+        // The cache starts empty: the load's changes are already covered.
+        router.take_fib_changes();
         let slot_of: HashMap<EgressId, usize> = pop
             .interfaces
             .iter()
@@ -399,8 +366,6 @@ impl PopRuntime {
             .map(|(slot, iface)| (iface.id, slot))
             .collect();
         let load_scratch = vec![0.0; pop.interfaces.len()];
-        let fib_cache = vec![[FibCacheEntry::Unknown; 2]; prefix_of.len()];
-        let fib_cache_version = router.fib_version();
 
         PopRuntime {
             pop,
@@ -416,9 +381,7 @@ impl PopRuntime {
             util_limit: cfg.controller.util_limit,
             split_lookup,
             incremental: cfg.incremental,
-            lookup_units,
             fib_cache,
-            fib_cache_version,
             slot_of,
             load_scratch,
             perf_steer: cfg.perf.map(|p| p.steer).unwrap_or(false),
@@ -934,71 +897,23 @@ impl PopRuntime {
         let mut detoured = 0.0f64;
         self.load_scratch.iter_mut().for_each(|l| *l = 0.0);
         if self.incremental {
-            // Version-checked lookup cache: when the FIB is unchanged since
-            // the last tick (the steady state between routing events), every
-            // lookup is a vector index instead of a trie walk. Any install,
-            // withdraw, or peer flush — including the chaos faults — bumps
-            // the router's FIB version and empties the cache here.
-            let version = self.router.fib_version();
-            if version != self.fib_cache_version {
-                self.fib_cache
-                    .iter_mut()
-                    .for_each(|slots| *slots = [FibCacheEntry::Unknown; 2]);
-                self.fib_cache_version = version;
-            }
-            let router = &self.router;
-            let fib_cache = &mut self.fib_cache;
-            let slot_of = &self.slot_of;
-            let load = &mut self.load_scratch;
-            let mut forward = |idx: usize, half: usize, unit: Prefix, mbps: f64, det: &mut f64| {
-                let entry = match fib_cache[idx][half] {
-                    FibCacheEntry::Unknown => {
-                        let resolved = match router.fib_lookup(unit) {
-                            Some((_, e)) => FibCacheEntry::Route {
-                                egress: e.egress,
-                                is_override: e.is_override,
-                            },
-                            None => FibCacheEntry::NoRoute,
-                        };
-                        fib_cache[idx][half] = resolved;
-                        resolved
-                    }
-                    cached => cached,
-                };
-                if let FibCacheEntry::Route {
-                    egress,
-                    is_override,
-                } = entry
-                {
-                    if let Some(&slot) = slot_of.get(&egress) {
-                        load[slot] += mbps;
-                    }
-                    if is_override {
-                        *det += mbps;
-                    }
-                }
-            };
+            // Between routing events every lookup is a vector index
+            // instead of a trie walk. Each install, withdraw or peer flush
+            // since the last tick — the controller's overrides and the
+            // chaos faults included — is in the router's FIB change log,
+            // and re-resolves only the units its prefix covers; a log too
+            // long to list empties the whole cache.
+            self.fib_cache.invalidate(self.router.take_fib_changes());
             for point in demand {
                 offered += point.mbps;
-                let idx = point.prefix_idx as usize;
-                let (unit, second) = self.lookup_units[idx];
-                match second {
-                    // Split forwarding: traffic inside a prefix is uniform,
-                    // so each half carries half the demand and is looked up
-                    // independently (a /25 override captures exactly half).
-                    Some(hi) => {
-                        let half = point.mbps / 2.0;
-                        if half > 0.0 {
-                            forward(idx, 0, unit, half, &mut detoured);
-                            forward(idx, 1, hi, half, &mut detoured);
-                        }
-                    }
-                    None => {
-                        if point.mbps > 0.0 {
-                            forward(idx, 0, unit, point.mbps, &mut detoured);
-                        }
-                    }
-                }
+                self.fib_cache.forward(
+                    point.prefix_idx as usize,
+                    point.mbps,
+                    &self.router,
+                    &self.slot_of,
+                    &mut self.load_scratch,
+                    &mut detoured,
+                );
             }
         } else {
             // From-scratch arm: a fresh trie walk per unit, as before the
@@ -1149,25 +1064,27 @@ impl PopRuntime {
                     None => (Arc::new(HashMap::new()), t_secs * 1000),
                 }
             } else {
-                let mut fresh: HashMap<Prefix, f64> = match (&mut self.sampler, &mut self.estimator)
-                {
+                let mut fresh: HashMap<Prefix, f64> = HashMap::with_capacity(demand.len());
+                match (&mut self.sampler, &mut self.estimator) {
                     (Some(sampler), Some(estimator)) => {
                         let samples = sampler.sample_all(
                             demand.iter().map(|d| (d.prefix_idx, d.mbps)),
                             self.epoch_secs as f64,
                         );
                         estimator.ingest(t_secs, &samples);
-                        estimator
-                            .all_rates_mbps(t_secs)
-                            .into_iter()
-                            .map(|(idx, mbps)| (self.prefix_of[idx as usize], mbps))
-                            .collect()
+                        fresh.extend(
+                            estimator
+                                .all_rates_mbps(t_secs)
+                                .into_iter()
+                                .map(|(idx, mbps)| (self.prefix_of[idx as usize], mbps)),
+                        );
                     }
-                    _ => demand
-                        .iter()
-                        .map(|d| (self.prefix_of[d.prefix_idx as usize], d.mbps))
-                        .collect(),
-                };
+                    _ => fresh.extend(
+                        demand
+                            .iter()
+                            .map(|d| (self.prefix_of[d.prefix_idx as usize], d.mbps)),
+                    ),
+                }
                 if sflow_drop > 0.0 {
                     for mbps in fresh.values_mut() {
                         *mbps *= 1.0 - sflow_drop;

@@ -76,7 +76,7 @@ pub struct SimConfig {
     #[serde(default = "default_billing")]
     pub billing: bool,
     /// Run the epoch hot paths incrementally: the controller's projection
-    /// memo and the runtime's version-checked FIB lookup cache (this flag
+    /// memo and the runtime's prefix-invalidated FIB lookup cache (this flag
     /// is copied over `controller.incremental` at build time). Results are
     /// byte-identical either way — the determinism suite and the perf
     /// benches flip it to compare against the from-scratch paths.
