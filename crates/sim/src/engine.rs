@@ -7,12 +7,12 @@ use ef_bgp::route::EgressId;
 use ef_net_types::Prefix;
 use ef_perf::rtt::{PathPerfModel, PerfConfig};
 use ef_topology::{generate, Deployment, PopId};
-use ef_traffic::demand::DemandModel;
+use ef_traffic::demand::{DemandModel, DemandPoint};
 
 use ef_global::{GlobalController, PopReport};
 
 use crate::metrics::MetricsStore;
-use crate::runtime::PopRuntime;
+use crate::runtime::{PopRuntime, StepOutcome};
 use crate::scenario::SimConfig;
 
 /// A full simulation run in progress.
@@ -148,6 +148,25 @@ impl SimEngine {
         // Wall-clock only exists when health is on, and only ever flows
         // into the monitor's telemetry — never into control decisions.
         let epoch_start = self.health.as_ref().map(|_| std::time::Instant::now());
+        // The global tier needs every PoP's demand up front, to shape
+        // (flash crowds) and place (steering) it; without the tier each
+        // PoP's worker generates its own.
+        let placed: Vec<Option<Vec<DemandPoint>>> = match self.global.as_mut() {
+            Some(global) => {
+                let mut demands: Vec<(PopId, Vec<DemandPoint>)> = self
+                    .pops
+                    .iter()
+                    .map(|pop| (pop.pop.id, demand_model.offered(deployment, pop.pop.id, t)))
+                    .collect();
+                global.shape_demand(t, &mut demands);
+                global.place(t, &mut demands);
+                demands
+                    .into_iter()
+                    .map(|(_, demand)| Some(demand))
+                    .collect()
+            }
+            None => self.pops.iter().map(|_| None).collect(),
+        };
         // Per-interface series sampling is the monitor's only
         // O(interfaces) work; hand each PoP's worker its own (disjoint)
         // store so that cost rides inside the parallel step, leaving only
@@ -157,167 +176,31 @@ impl SimEngine {
             Some(monitor) => monitor.pop_stores(&pop_ids).into_iter().map(Some).collect(),
             None => pop_ids.iter().map(|_| None).collect(),
         };
-
-        if let Some(global) = self.global.as_mut() {
-            // Global arm: compute every PoP's demand first, let the tier
-            // shape (flash crowds) and place (steering) it, then step the
-            // PoPs (parallel) and report back up.
-            let mut demands: Vec<(PopId, Vec<ef_traffic::demand::DemandPoint>)> = self
+        let outcomes: Vec<StepOutcome> = crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = self
                 .pops
-                .iter()
-                .map(|pop| (pop.pop.id, demand_model.offered(deployment, pop.pop.id, t)))
-                .collect();
-            global.shape_demand(t, &mut demands);
-            global.place(t, &mut demands);
-            let outcomes: Vec<(PopId, crate::runtime::StepOutcome)> =
-                crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = self
-                        .pops
-                        .iter_mut()
-                        .zip(demands.iter())
-                        .zip(store_opts)
-                        .map(|((pop, (pop_id, demand)), store)| {
-                            let pop_id = *pop_id;
-                            s.spawn(move |_| {
-                                let outcome = pop.step(t, demand, perf_model);
-                                if let (Some(store), Some(signals)) = (store, pop.health_signals())
-                                {
-                                    ef_health::sample_iface_util(store, signals);
-                                }
-                                (pop_id, outcome)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("PoP step worker panicked"))
-                        .collect()
-                })
-                .expect("sim worker panicked");
-            // True end-of-epoch reports, stamped with the epoch they
-            // describe. Faults below corrupt the *delivery*, never these.
-            let stamp = t / self.cfg.epoch_secs;
-            let mut reports = vec![PopReport::default(); self.deployment.pops.len()];
-            for (pop_id, outcome) in outcomes {
-                if let Some(report) = reports.get_mut(pop_id.0 as usize) {
-                    *report = PopReport {
-                        residual_overloaded: outcome.residual_overloaded,
-                        dropped_mbps: outcome.dropped_mbps,
-                        offered_mbps: outcome.offered_mbps,
-                        headroom_mbps: outcome.headroom_mbps,
-                        epoch: stamp,
-                    };
-                }
-            }
-            for (history, report) in self.report_history.iter_mut().zip(&reports) {
-                if history.len() >= REPORT_HISTORY_CAP {
-                    history.pop_front();
-                }
-                history.push_back(*report);
-            }
-            // Fault edges at the sentinel PoP: diff the active set against
-            // last epoch's, in event-index order for determinism.
-            let now_active: BTreeSet<usize> = self
-                .global_events
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.active_at(t))
-                .map(|(i, _)| i)
-                .collect();
-            for &i in now_active.difference(&self.active_global_faults) {
-                if let Some(e) = self.global_events.get(i) {
-                    self.cfg.telemetry.emit(
-                        ef_health::GLOBAL_POP,
-                        t * 1000,
-                        "fault.start",
-                        &[
-                            ("kind", e.kind.label().into()),
-                            ("target", format!("{:?}", e.target).into()),
-                        ],
-                    );
-                    self.cfg.telemetry.counter("faults.started", 1);
-                }
-            }
-            for &i in self.active_global_faults.difference(&now_active) {
-                if let Some(e) = self.global_events.get(i) {
-                    self.cfg.telemetry.emit(
-                        ef_health::GLOBAL_POP,
-                        t * 1000,
-                        "fault.end",
-                        &[
-                            ("kind", e.kind.label().into()),
-                            ("target", format!("{:?}", e.target).into()),
-                        ],
-                    );
-                }
-            }
-            self.active_global_faults = now_active;
-            // What the tier actually receives this epoch. Passes are
-            // kind-ordered (staleness replay, then lie, then partition) so
-            // overlapping faults on one PoP compose deterministically —
-            // and partition always wins.
-            let mut delivered: Vec<Option<PopReport>> = reports.iter().map(|r| Some(*r)).collect();
-            let mut crashed = false;
-            for e in self.global_events.iter().filter(|e| e.active_at(t)) {
-                if let ef_chaos::FaultKind::ReportStaleness { epochs } = e.kind {
-                    let Some(j) = e.target.global_pop() else {
-                        continue;
-                    };
-                    let Some(history) = self.report_history.get(j) else {
-                        continue;
-                    };
-                    let back = (epochs as usize).min(history.len().saturating_sub(1));
-                    let idx = history.len() - 1 - back;
-                    if let (Some(old), Some(slot)) = (history.get(idx), delivered.get_mut(j)) {
-                        // Replayed verbatim, old stamp included: the tier's
-                        // freshness guard sees the age, not a fresh lie.
-                        *slot = Some(*old);
-                    }
-                }
-            }
-            for e in self.global_events.iter().filter(|e| e.active_at(t)) {
-                if let ef_chaos::FaultKind::HeadroomLie { factor } = e.kind {
-                    let Some(j) = e.target.global_pop() else {
-                        continue;
-                    };
-                    if let Some(Some(report)) = delivered.get_mut(j) {
-                        report.headroom_mbps *= factor;
-                    }
-                }
-            }
-            for e in self.global_events.iter().filter(|e| e.active_at(t)) {
-                match e.kind {
-                    ef_chaos::FaultKind::ReportPartition => {
-                        let Some(j) = e.target.global_pop() else {
-                            continue;
-                        };
-                        if let Some(slot) = delivered.get_mut(j) {
-                            *slot = None;
-                        }
-                    }
-                    ef_chaos::FaultKind::GlobalControllerCrash => crashed = true,
-                    _ => {}
-                }
-            }
-            if crashed {
-                global.crash_epoch();
-            } else {
-                global.observe(&delivered);
-            }
-        } else {
-            crossbeam::thread::scope(|s| {
-                for (pop, store) in self.pops.iter_mut().zip(store_opts) {
+                .iter_mut()
+                .zip(placed)
+                .zip(store_opts)
+                .map(|((pop, placed), store)| {
                     s.spawn(move |_| {
-                        let demand = demand_model.offered(deployment, pop.pop.id, t);
-                        pop.step(t, &demand, perf_model);
+                        let demand = placed
+                            .unwrap_or_else(|| demand_model.offered(deployment, pop.pop.id, t));
+                        let outcome = pop.step(t, &demand, perf_model);
                         if let (Some(store), Some(signals)) = (store, pop.health_signals()) {
                             ef_health::sample_iface_util(store, signals);
                         }
-                    });
-                }
-            })
-            .expect("sim worker panicked");
-        }
+                        outcome
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("PoP step worker panicked"))
+                .collect()
+        })
+        .expect("sim worker panicked");
+        self.report_to_global(t, &outcomes);
         if let Some(monitor) = self.health.as_mut() {
             let wall_us = epoch_start.map(|s| s.elapsed().as_micros() as u64);
             // Rule evaluation and telemetry emission stay serial in
@@ -346,6 +229,124 @@ impl SimEngine {
             }
         }
         self.t_secs += self.cfg.epoch_secs;
+    }
+
+    /// Hands each PoP's end-of-epoch outcome to the global tier, when the
+    /// scenario enables it, through the global-tier faults active at `t`.
+    fn report_to_global(&mut self, t: u64, outcomes: &[StepOutcome]) {
+        let Some(global) = self.global.as_mut() else {
+            return;
+        };
+        // True end-of-epoch reports, stamped with the epoch they
+        // describe. Faults below corrupt the *delivery*, never these.
+        let stamp = t / self.cfg.epoch_secs;
+        let mut reports = vec![PopReport::default(); self.deployment.pops.len()];
+        for (pop, outcome) in self.pops.iter().zip(outcomes) {
+            if let Some(report) = reports.get_mut(pop.pop.id.0 as usize) {
+                *report = PopReport {
+                    residual_overloaded: outcome.residual_overloaded,
+                    dropped_mbps: outcome.dropped_mbps,
+                    offered_mbps: outcome.offered_mbps,
+                    headroom_mbps: outcome.headroom_mbps,
+                    epoch: stamp,
+                };
+            }
+        }
+        for (history, report) in self.report_history.iter_mut().zip(&reports) {
+            if history.len() >= REPORT_HISTORY_CAP {
+                history.pop_front();
+            }
+            history.push_back(*report);
+        }
+        // Fault edges at the sentinel PoP: diff the active set against
+        // last epoch's, in event-index order for determinism.
+        let now_active: BTreeSet<usize> = self
+            .global_events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.active_at(t))
+            .map(|(i, _)| i)
+            .collect();
+        for &i in now_active.difference(&self.active_global_faults) {
+            if let Some(e) = self.global_events.get(i) {
+                self.cfg.telemetry.emit(
+                    ef_health::GLOBAL_POP,
+                    t * 1000,
+                    "fault.start",
+                    &[
+                        ("kind", e.kind.label().into()),
+                        ("target", format!("{:?}", e.target).into()),
+                    ],
+                );
+                self.cfg.telemetry.counter("faults.started", 1);
+            }
+        }
+        for &i in self.active_global_faults.difference(&now_active) {
+            if let Some(e) = self.global_events.get(i) {
+                self.cfg.telemetry.emit(
+                    ef_health::GLOBAL_POP,
+                    t * 1000,
+                    "fault.end",
+                    &[
+                        ("kind", e.kind.label().into()),
+                        ("target", format!("{:?}", e.target).into()),
+                    ],
+                );
+            }
+        }
+        self.active_global_faults = now_active;
+        // What the tier actually receives this epoch. Passes are
+        // kind-ordered (staleness replay, then lie, then partition) so
+        // overlapping faults on one PoP compose deterministically —
+        // and partition always wins.
+        let mut delivered: Vec<Option<PopReport>> = reports.iter().map(|r| Some(*r)).collect();
+        let mut crashed = false;
+        for e in self.global_events.iter().filter(|e| e.active_at(t)) {
+            if let ef_chaos::FaultKind::ReportStaleness { epochs } = e.kind {
+                let Some(j) = e.target.global_pop() else {
+                    continue;
+                };
+                let Some(history) = self.report_history.get(j) else {
+                    continue;
+                };
+                let back = (epochs as usize).min(history.len().saturating_sub(1));
+                let idx = history.len() - 1 - back;
+                if let (Some(old), Some(slot)) = (history.get(idx), delivered.get_mut(j)) {
+                    // Replayed verbatim, old stamp included: the tier's
+                    // freshness guard sees the age, not a fresh lie.
+                    *slot = Some(*old);
+                }
+            }
+        }
+        for e in self.global_events.iter().filter(|e| e.active_at(t)) {
+            if let ef_chaos::FaultKind::HeadroomLie { factor } = e.kind {
+                let Some(j) = e.target.global_pop() else {
+                    continue;
+                };
+                if let Some(Some(report)) = delivered.get_mut(j) {
+                    report.headroom_mbps *= factor;
+                }
+            }
+        }
+        for e in self.global_events.iter().filter(|e| e.active_at(t)) {
+            match e.kind {
+                ef_chaos::FaultKind::ReportPartition => {
+                    let Some(j) = e.target.global_pop() else {
+                        continue;
+                    };
+                    if let Some(slot) = delivered.get_mut(j) {
+                        *slot = None;
+                    }
+                }
+                ef_chaos::FaultKind::GlobalControllerCrash => crashed = true,
+                _ => {}
+            }
+        }
+        if crashed {
+            global.crash_epoch();
+        } else {
+            global.observe(&delivered);
+        }
     }
 
     /// Runs `n` epochs.

@@ -137,7 +137,7 @@ impl DetourEpisode {
 }
 
 /// Per-epoch record for one PoP.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PopEpochRecord {
     /// Time, seconds.
     pub t_secs: u64,

@@ -84,8 +84,8 @@ struct TickFaults {
 /// Signals one epoch hands to the global (cross-PoP) layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepOutcome {
-    /// The controller reported overload it could not relieve (or, in the
-    /// baseline arm, traffic was dropped).
+    /// The controller reported overload it could not relieve (or, when no
+    /// controller epoch ran, traffic was dropped).
     pub residual_overloaded: bool,
     /// Traffic dropped at this PoP this epoch, Mbps.
     pub dropped_mbps: f64,
@@ -1002,7 +1002,30 @@ impl PopRuntime {
         }
 
         // --- 4. Controller epoch --------------------------------------------
-        if let Some(controller) = self.controller.as_mut() {
+        // One record per epoch. It starts idle, as a PoP records an epoch
+        // no controller acted in (the baseline arm, a crashed controller,
+        // a skipped epoch), and a controller epoch that ran fills in its
+        // report. An enabled controller that is not acting fails open.
+        let mut record = PopEpochRecord {
+            t_secs,
+            pop: self.pop.id.0,
+            offered_mbps: offered,
+            detoured_mbps: detoured,
+            detoured_by_kind: HashMap::new(),
+            overrides_active: 0,
+            churn_announced: 0,
+            churn_withdrawn: 0,
+            overloaded_before: 0,
+            residual_overloaded: 0,
+            dropped_mbps: dropped,
+            active_faults: fault_labels,
+            degraded: false,
+            fail_open: self.controller_enabled,
+        };
+        let mut input_age_ms = 0;
+        let mut audit_failures = 0;
+        let mut epoch_skipped = false;
+        let active: Vec<Prefix> = if let Some(controller) = self.controller.as_mut() {
             // Performance steering (§6.2): refresh perf overrides from the
             // measurement digests before the capacity pass.
             if self.perf_steer {
@@ -1099,180 +1122,75 @@ impl PopRuntime {
                 bmp_age_ms,
                 traffic_age_ms,
             };
-            let epoch =
-                controller.run_epoch_guarded(&traffic, &mut self.router, t_secs * 1000, inputs);
-            let (record, residual, sig_extra) = match epoch {
-                Ok(report) => (
-                    PopEpochRecord {
-                        t_secs,
-                        pop: self.pop.id.0,
-                        offered_mbps: offered,
-                        detoured_mbps: detoured,
-                        detoured_by_kind: report.detoured_by_kind.clone(),
-                        overrides_active: report.overrides_active,
-                        churn_announced: report.churn_announced,
-                        churn_withdrawn: report.churn_withdrawn,
-                        overloaded_before: report.overloaded_before.len(),
-                        residual_overloaded: report.residual_overloaded.len(),
-                        dropped_mbps: dropped,
-                        active_faults: fault_labels,
-                        degraded: report.degraded,
-                        fail_open: report.fail_open,
-                    },
-                    !report.residual_overloaded.is_empty(),
-                    (
-                        report.input_age_ms,
-                        (report.audit_not_installed + report.audit_leaked) as u64,
-                        false,
-                    ),
-                ),
+            match controller.run_epoch_guarded(&traffic, &mut self.router, t_secs * 1000, inputs) {
+                Ok(report) => {
+                    input_age_ms = report.input_age_ms;
+                    audit_failures = (report.audit_not_installed + report.audit_leaked) as u64;
+                    record.detoured_by_kind = report.detoured_by_kind;
+                    record.overrides_active = report.overrides_active;
+                    record.churn_announced = report.churn_announced;
+                    record.churn_withdrawn = report.churn_withdrawn;
+                    record.overloaded_before = report.overloaded_before.len();
+                    record.residual_overloaded = report.residual_overloaded.len();
+                    record.degraded = report.degraded;
+                    record.fail_open = report.fail_open;
+                }
                 // The injector session is down: the epoch is skipped
                 // entirely and BGP has already reverted every override.
-                Err(EpochError::InjectorDown) => (
-                    PopEpochRecord {
-                        t_secs,
-                        pop: self.pop.id.0,
-                        offered_mbps: offered,
-                        detoured_mbps: detoured,
-                        detoured_by_kind: Default::default(),
-                        overrides_active: 0,
-                        churn_announced: 0,
-                        churn_withdrawn: 0,
-                        overloaded_before: 0,
-                        residual_overloaded: 0,
-                        dropped_mbps: dropped,
-                        active_faults: fault_labels,
-                        degraded: false,
-                        fail_open: true,
-                    },
-                    dropped > 0.0,
-                    (bmp_age_ms.max(traffic_age_ms), 0, true),
-                ),
-            };
-            // Copy what the signals need out of the record now; the
-            // collection itself waits until the controller borrow ends.
-            let health_args = if self.health_enabled {
-                let (input_age_ms, audit_failures, epoch_skipped) = sig_extra;
-                Some((
-                    record.overrides_active as u64,
-                    (record.churn_announced + record.churn_withdrawn) as u64,
-                    record.residual_overloaded as u64,
-                    record.degraded,
-                    record.fail_open,
-                    epoch_skipped,
-                    input_age_ms,
-                    audit_failures,
-                ))
-            } else {
-                None
-            };
-            self.metrics.record_pop_epoch(record);
-            let active: Vec<Prefix> = controller
+                Err(EpochError::InjectorDown) => {
+                    input_age_ms = bmp_age_ms.max(traffic_age_ms);
+                    epoch_skipped = true;
+                }
+            }
+            controller
                 .active_overrides()
                 .iter_sorted()
                 .iter()
                 .map(|o| o.prefix)
-                .collect();
-            self.metrics.update_episodes(self.pop.id, t_secs, active);
-            if let Some((
-                overrides_active,
-                churn,
-                residual_overloaded,
-                degraded,
-                fail_open,
-                epoch_skipped,
-                input_age_ms,
-                audit_failures,
-            )) = health_args
-            {
-                self.health_signals = Some(self.collect_health_signals(
-                    t_secs,
-                    offered,
-                    dropped,
-                    detoured,
-                    overrides_active,
-                    churn,
-                    residual_overloaded,
-                    degraded,
-                    fail_open,
-                    epoch_skipped,
-                    input_age_ms,
-                    audit_failures,
-                ));
-            }
-            StepOutcome {
-                residual_overloaded: residual,
-                dropped_mbps: dropped,
-                offered_mbps: offered,
-                headroom_mbps: headroom,
-            }
+                .collect()
         } else {
-            // Baseline arm (or a crashed controller): record the epoch
-            // without controller fields and discard the unconsumed BMP feed.
+            // Nothing consumes the BMP feed without a controller.
             self.router.drain_bmp();
             self.stalled_bmp.clear();
-            if self.health_enabled {
-                self.health_signals = Some(self.collect_health_signals(
-                    t_secs,
-                    offered,
-                    dropped,
-                    detoured,
-                    0,
-                    0,
-                    0,
-                    false,
-                    self.controller_enabled,
-                    false,
-                    0,
-                    0,
-                ));
-            }
-            self.metrics.record_pop_epoch(PopEpochRecord {
-                t_secs,
-                pop: self.pop.id.0,
-                offered_mbps: offered,
-                detoured_mbps: detoured,
-                detoured_by_kind: Default::default(),
-                overrides_active: 0,
-                churn_announced: 0,
-                churn_withdrawn: 0,
-                overloaded_before: 0,
-                residual_overloaded: 0,
-                dropped_mbps: dropped,
-                active_faults: fault_labels,
-                degraded: false,
-                fail_open: self.controller_enabled,
-            });
-            self.metrics
-                .update_episodes(self.pop.id, t_secs, Vec::new());
-            StepOutcome {
-                residual_overloaded: dropped > 0.0,
-                dropped_mbps: dropped,
-                offered_mbps: offered,
-                headroom_mbps: headroom,
-            }
+            Vec::new()
+        };
+
+        if self.health_enabled {
+            self.health_signals = Some(self.collect_health_signals(
+                &record,
+                input_age_ms,
+                audit_failures,
+                epoch_skipped,
+            ));
         }
+        // A controller epoch reports the overload it could not relieve;
+        // without one, any drop is overload nobody relieved.
+        let controller_ran = self.controller.is_some() && !epoch_skipped;
+        let outcome = StepOutcome {
+            residual_overloaded: if controller_ran {
+                record.residual_overloaded > 0
+            } else {
+                dropped > 0.0
+            },
+            dropped_mbps: dropped,
+            offered_mbps: offered,
+            headroom_mbps: headroom,
+        };
+        self.metrics.record_pop_epoch(record);
+        self.metrics.update_episodes(self.pop.id, t_secs, active);
+        outcome
     }
 
-    /// Builds this epoch's health signals from state `step` already
-    /// computed — pure reads of simulation state, so collecting them
+    /// Builds this epoch's health signals from its record and state `step`
+    /// already computed — pure reads of simulation state, so collecting them
     /// cannot perturb the run. The previous epoch's `iface_util` buffer
     /// is recycled, so the steady state allocates nothing per epoch.
-    #[allow(clippy::too_many_arguments)]
     fn collect_health_signals(
         &mut self,
-        t_secs: u64,
-        offered: f64,
-        dropped: f64,
-        detoured: f64,
-        overrides_active: u64,
-        churn: u64,
-        residual_overloaded: u64,
-        degraded: bool,
-        fail_open: bool,
-        epoch_skipped: bool,
+        record: &PopEpochRecord,
         input_age_ms: u64,
         audit_failures: u64,
+        epoch_skipped: bool,
     ) -> ef_health::EpochSignals {
         let sessions_down = self.stubs.values().filter(|s| !s.is_established()).count() as u64;
         let updates_downgraded_total = self.router.updates_downgraded_total();
@@ -1312,16 +1230,16 @@ impl PopRuntime {
             })
             .sum();
         ef_health::EpochSignals {
-            t_secs,
-            pop: self.pop.id.0,
-            offered_mbps: offered,
-            dropped_mbps: dropped,
-            detoured_mbps: detoured,
-            overrides_active,
-            churn,
-            residual_overloaded,
-            degraded,
-            fail_open,
+            t_secs: record.t_secs,
+            pop: record.pop,
+            offered_mbps: record.offered_mbps,
+            dropped_mbps: record.dropped_mbps,
+            detoured_mbps: record.detoured_mbps,
+            overrides_active: record.overrides_active as u64,
+            churn: (record.churn_announced + record.churn_withdrawn) as u64,
+            residual_overloaded: record.residual_overloaded as u64,
+            degraded: record.degraded,
+            fail_open: record.fail_open,
             epoch_skipped,
             controller_missing: self.controller_enabled && self.controller.is_none(),
             input_age_ms,
@@ -1407,5 +1325,161 @@ fn spec_attrs(spec: &RouteSpec) -> PathAttributes {
         as_path: AsPath::sequence(spec.as_path.iter().copied()),
         med: spec.med,
         ..Default::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::scenario;
+    use ef_chaos::FaultSchedule;
+    use ef_perf::rtt::PerfConfig;
+    use ef_traffic::demand::DemandModel;
+
+    const POP: PopId = PopId(0);
+
+    /// A fault window on [`POP`], one epoch long.
+    fn window(t_start_secs: u64, kind: FaultKind) -> FaultEvent {
+        FaultEvent {
+            t_start_secs,
+            duration_secs: 60,
+            target: FaultTarget::Pop {
+                pop: POP.0 as usize,
+            },
+            kind,
+        }
+    }
+
+    /// The record of an epoch in which no controller acted: every
+    /// controller field idle, demand forwarded over the plain-BGP FIB.
+    fn idle(
+        pop: &PopRuntime,
+        t_secs: u64,
+        offered_mbps: f64,
+        faults: &[&str],
+        fail_open: bool,
+    ) -> PopEpochRecord {
+        let signals = pop.health_signals().expect("health sampling is on");
+        PopEpochRecord {
+            t_secs,
+            pop: POP.0,
+            offered_mbps,
+            detoured_mbps: 0.0,
+            detoured_by_kind: HashMap::new(),
+            overrides_active: 0,
+            churn_announced: 0,
+            churn_withdrawn: 0,
+            overloaded_before: 0,
+            residual_overloaded: 0,
+            dropped_mbps: signals.dropped_mbps,
+            active_faults: faults.iter().map(|l| l.to_string()).collect(),
+            degraded: false,
+            fail_open,
+        }
+    }
+
+    /// Steps one small PoP through every kind of epoch — the controller
+    /// ran, the injector was down, the controller crashed, the controller
+    /// was disabled — and checks the epoch record, the health signals and
+    /// the outcome the global tier reads, field by field.
+    #[test]
+    fn each_kind_of_epoch_records_its_controller_state() {
+        let schedule = FaultSchedule::new(vec![
+            // The BMP feed stalls with the injector, so the skipped epoch
+            // carries a nonzero input age.
+            window(60, FaultKind::InjectorLoss),
+            window(60, FaultKind::BmpStall),
+            window(180, FaultKind::ControllerCrash),
+        ])
+        .expect("valid schedule");
+        let cfg = scenario()
+            .small_topology(7)
+            .epoch_secs(60)
+            .exact_rates()
+            .health(Default::default())
+            .chaos(schedule)
+            .build();
+        let deployment = ef_topology::generate(&cfg.gen);
+        let demand_model = DemandModel::new(&deployment, cfg.demand_seed);
+        let perf_model = PathPerfModel::new(PerfConfig::default());
+        let step = |pop: &mut PopRuntime, t_secs: u64| {
+            let demand = demand_model.offered(&deployment, POP, t_secs);
+            let outcome = pop.step(t_secs, &demand, &perf_model);
+            let offered: f64 = demand.iter().map(|d| d.mbps).sum();
+            let record = pop.metrics.pop_epochs.last().cloned().expect("recorded");
+            assert_eq!(outcome.offered_mbps, record.offered_mbps);
+            assert_eq!(outcome.dropped_mbps, record.dropped_mbps);
+            (record, outcome, offered)
+        };
+        let signals = |pop: &PopRuntime| pop.health_signals().cloned().expect("sampled");
+
+        // The controller ran: its first epoch steers the one interface
+        // that plain BGP overloads, so the demand forwarded before it
+        // acted still drops while nothing is left overloaded.
+        let mut pop = PopRuntime::build(&deployment, POP, &cfg);
+        let (record, outcome, offered) = step(&mut pop, 0);
+        let sig = signals(&pop);
+        let ctl = pop.controller.as_ref().expect("controller runs");
+        let active = ctl.active_overrides();
+        let over_limit = sig
+            .iface_util
+            .iter()
+            .filter(|(_, util)| *util > pop.util_limit)
+            .count();
+        assert_eq!(over_limit, 1);
+        assert_eq!(active.len(), 1);
+        let expected = PopEpochRecord {
+            detoured_by_kind: active
+                .moved_by_target_kind()
+                .into_iter()
+                .map(|(kind, mbps)| (kind.label().to_string(), mbps))
+                .collect(),
+            overrides_active: active.len(),
+            churn_announced: active.len(),
+            overloaded_before: over_limit,
+            ..idle(&pop, 0, offered, &[], false)
+        };
+        assert_eq!(record, expected);
+        assert!(record.dropped_mbps > 0.0);
+        assert!(!outcome.residual_overloaded);
+        assert!(!sig.fail_open && !sig.epoch_skipped && !sig.controller_missing);
+        assert_eq!(sig.input_age_ms, 0);
+        let first_dropped = record.dropped_mbps;
+
+        // The injector was down: the epoch is skipped, BGP has already
+        // withdrawn the override, and the stalled feed's age is reported.
+        let (record, outcome, offered) = step(&mut pop, 60);
+        let sig = signals(&pop);
+        assert_eq!(
+            record,
+            idle(&pop, 60, offered, &["bmp_stall", "injector_loss"], true)
+        );
+        assert!(record.dropped_mbps > 0.0);
+        assert!(outcome.residual_overloaded, "drops count as residual");
+        assert!(sig.fail_open && sig.epoch_skipped && !sig.controller_missing);
+        assert_eq!(sig.input_age_ms, 60_000);
+
+        // The controller crashed: no controller, failing open.
+        step(&mut pop, 120);
+        let (record, outcome, offered) = step(&mut pop, 180);
+        let sig = signals(&pop);
+        assert_eq!(
+            record,
+            idle(&pop, 180, offered, &["controller_crash"], true)
+        );
+        assert_eq!(outcome.residual_overloaded, record.dropped_mbps > 0.0);
+        assert!(sig.fail_open && !sig.epoch_skipped && sig.controller_missing);
+        assert_eq!(sig.input_age_ms, 0);
+
+        // The controller was disabled: plain BGP, nothing failing open,
+        // and the same drops the controller's first epoch saw.
+        let mut pop = PopRuntime::build(&deployment, POP, &cfg.clone().baseline());
+        let (record, outcome, offered) = step(&mut pop, 0);
+        let sig = signals(&pop);
+        assert_eq!(record, idle(&pop, 0, offered, &[], false));
+        assert_eq!(record.dropped_mbps, first_dropped);
+        assert!(outcome.residual_overloaded);
+        assert!(!sig.fail_open && !sig.epoch_skipped && !sig.controller_missing);
+        assert_eq!(sig.input_age_ms, 0);
     }
 }

@@ -121,18 +121,6 @@ fn default_billing() -> bool {
 }
 
 impl SimConfig {
-    /// A fast scenario for unit tests: tiny deployment, two hours.
-    ///
-    /// Thin shim over the fluent API — equivalent to
-    /// `scenario().small_topology(seed).duration_secs(2 * 3600).epoch_secs(60).build()`.
-    pub fn test_small(seed: u64) -> Self {
-        scenario()
-            .small_topology(seed)
-            .duration_secs(2 * 3600)
-            .epoch_secs(60)
-            .build()
-    }
-
     /// The same scenario with the controller switched off (baseline arm).
     pub fn baseline(mut self) -> Self {
         self.controller_enabled = false;
@@ -271,14 +259,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enables global (cross-PoP) demand shifting — retired prototype
-    /// shim: the tunables map onto a DNS backend with a one-epoch TTL.
-    #[deprecated(note = "use `global(GlobalConfig)` instead")]
-    #[allow(deprecated)]
-    pub fn global_shift(self, shift: ef_global::GlobalShifterConfig) -> Self {
-        self.global(shift.into())
-    }
-
     /// Installs a fault schedule for the run.
     pub fn chaos(mut self, schedule: FaultSchedule) -> Self {
         self.cfg.chaos = Some(schedule);
@@ -405,7 +385,11 @@ mod tests {
 
     #[test]
     fn baseline_flips_only_the_controller() {
-        let cfg = SimConfig::test_small(1);
+        let cfg = scenario()
+            .small_topology(1)
+            .duration_secs(2 * 3600)
+            .epoch_secs(60)
+            .build();
         let base = cfg.clone().baseline();
         assert!(cfg.controller_enabled);
         assert!(!base.controller_enabled);
@@ -462,7 +446,12 @@ mod tests {
     fn billing_defaults_on_for_old_configs() {
         // Configs serialized before the field existed must load with the
         // meter on.
-        let json = serde_json::to_string(&SimConfig::test_small(1)).unwrap();
+        let cfg = scenario()
+            .small_topology(1)
+            .duration_secs(2 * 3600)
+            .epoch_secs(60)
+            .build();
+        let json = serde_json::to_string(&cfg).unwrap();
         let mut value = serde_json::parse_value(&json).unwrap();
         if let serde::Value::Object(fields) = &mut value {
             fields.retain(|(key, _)| key != "billing");
@@ -474,7 +463,11 @@ mod tests {
     #[test]
     fn chaos_schedule_survives_serde() {
         use ef_chaos::{FaultEvent, FaultKind, FaultTarget};
-        let mut cfg = SimConfig::test_small(1);
+        let mut cfg = scenario()
+            .small_topology(1)
+            .duration_secs(2 * 3600)
+            .epoch_secs(60)
+            .build();
         cfg.chaos = Some(
             FaultSchedule::new(vec![FaultEvent {
                 t_start_secs: 600,
@@ -488,9 +481,13 @@ mod tests {
         let back: SimConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.chaos, cfg.chaos);
         // Absent field defaults to no chaos.
+        let plain = scenario()
+            .small_topology(2)
+            .duration_secs(2 * 3600)
+            .epoch_secs(60)
+            .build();
         let plain: SimConfig =
-            serde_json::from_str(&serde_json::to_string(&SimConfig::test_small(2)).unwrap())
-                .unwrap();
+            serde_json::from_str(&serde_json::to_string(&plain).unwrap()).unwrap();
         assert!(plain.chaos.is_none());
     }
 }

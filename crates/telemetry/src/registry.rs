@@ -72,40 +72,6 @@ impl Histogram {
             self.sum / self.count as f64
         }
     }
-
-    /// Estimates the `q`-quantile (`q` clamped to `[0, 1]`) assuming
-    /// observations are uniform within their bucket, interpolating between
-    /// the bucket's bounds. Deterministic: depends only on the recorded
-    /// counts. Returns 0 when empty; overflow-bucket ranks clamp to the
-    /// last finite bound (the histogram has no upper edge past it).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 || self.bounds.is_empty() {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target observation, 1-based.
-        let rank = (q * self.count as f64).max(1.0);
-        let mut seen = 0u64;
-        for (idx, &n) in self.counts.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let next = seen + n;
-            if rank <= next as f64 {
-                let last = self.bounds.len() - 1;
-                if idx > last {
-                    // Overflow bucket: no upper edge to interpolate toward.
-                    return self.bounds[last];
-                }
-                let lo = if idx == 0 { 0.0 } else { self.bounds[idx - 1] };
-                let hi = self.bounds[idx];
-                let into = (rank - seen as f64) / n as f64;
-                return lo + (hi - lo) * into;
-            }
-            seen = next;
-        }
-        self.bounds[self.bounds.len() - 1]
-    }
 }
 
 /// A point-in-time copy of the registry, serializable for the event stream.
@@ -219,42 +185,6 @@ mod tests {
         assert_eq!(h.counts, vec![1, 1, 1, 2]);
         assert_eq!(h.count, 5);
         assert!((h.mean() - 5555.5 / 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantile_of_empty_histogram_is_zero() {
-        let h = Histogram::new(&[1.0, 10.0]);
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.quantile(0.99), 0.0);
-    }
-
-    #[test]
-    fn quantile_interpolates_within_one_bucket() {
-        let mut h = Histogram::new(&[10.0, 100.0]);
-        for _ in 0..4 {
-            h.observe(50.0); // all land in the (10, 100] bucket
-        }
-        // Ranks interpolate uniformly across the bucket's width.
-        assert!((h.quantile(0.25) - 32.5).abs() < 1e-9);
-        assert!((h.quantile(0.5) - 55.0).abs() < 1e-9);
-        assert!((h.quantile(1.0) - 100.0).abs() < 1e-9);
-        // q clamps rather than panics.
-        assert!((h.quantile(-1.0) - h.quantile(0.0)).abs() < 1e-9);
-        assert!((h.quantile(2.0) - h.quantile(1.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantile_clamps_overflow_to_last_bound() {
-        let mut h = Histogram::new(&[1.0, 10.0]);
-        h.observe(0.5);
-        h.observe(5000.0);
-        h.observe(9000.0);
-        // p99 lands in the overflow bucket: clamp to the last bound.
-        assert_eq!(h.quantile(0.99), 10.0);
-        // The low tail still interpolates inside its finite bucket.
-        assert!(h.quantile(0.01) <= 1.0);
-        // Repeated calls are deterministic.
-        assert_eq!(h.quantile(0.99), h.quantile(0.99));
     }
 
     #[test]
