@@ -1,4 +1,5 @@
-//! E17: bounded recovery — epochs back to steady state after each fault.
+//! E16 (bounded recovery) and E17 (refresh instead of reset): epochs back
+//! to steady state after each fault.
 //!
 //! Every fault kind the chaos layer can inject runs as its own arm: one
 //! 300-second window against PoP 0, over the same deployment as a

@@ -70,7 +70,9 @@ pub fn cdf_points(values: &[f64], n: usize) -> Vec<(f64, f64)> {
     out
 }
 
-/// The `p`-th percentile (0–100) of `values` (nearest-rank).
+/// The `p`-th percentile (0–100) of `values`: the sorted sample at index
+/// `round(p/100 · (n − 1))`, the linear-interpolation position rounded to
+/// the nearest sample (not the nearest-rank `ceil(p/100 · n)`).
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
     let mut v = values.to_vec();

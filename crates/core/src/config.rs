@@ -14,8 +14,6 @@ pub struct ControllerConfig {
     /// runs ≈0.95, holding headroom for projection error and sub-cycle
     /// bursts.
     pub util_limit: f64,
-    /// Controller cycle length, seconds (paper: ~30 s).
-    pub epoch_secs: u64,
     /// How the allocator picks which prefixes to detour.
     pub strategy: DetourStrategy,
     /// Community stamped on every injected override so routers can verify
@@ -54,12 +52,6 @@ pub struct ControllerConfig {
     /// may be *newly* shifted (prefixes not already overridden) in a single
     /// epoch. 1.0 disables the guard.
     pub max_shift_fraction_per_epoch: f64,
-    /// Use the incremental projection cache (per-prefix memoization fenced
-    /// by collector generation stamps). Purely an implementation strategy:
-    /// epoch output is byte-identical either way. Off is only useful for
-    /// cross-checking and benchmarking the from-scratch path.
-    #[serde(default = "default_incremental")]
-    pub incremental: bool,
     /// Cost-aware detours: when several feasible alternates sit in the
     /// same BGP preference band, pick the one with the lowest marginal
     /// cost instead of the first in rank order. Never degrades the BGP
@@ -69,15 +61,10 @@ pub struct ControllerConfig {
     pub cost_aware: bool,
 }
 
-fn default_incremental() -> bool {
-    true
-}
-
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             util_limit: 0.95,
-            epoch_secs: 30,
             strategy: DetourStrategy::BestAlternativeFirst,
             override_marker: Community::new(32934, 999),
             max_detour_fraction: 1.0,
@@ -88,7 +75,6 @@ impl Default for ControllerConfig {
             stale_input_secs: 120,
             fail_open_secs: 600,
             max_shift_fraction_per_epoch: 1.0,
-            incremental: true,
             cost_aware: false,
         }
     }
@@ -99,9 +85,6 @@ impl ControllerConfig {
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0 < self.util_limit && self.util_limit <= 1.0) {
             return Err(format!("util_limit {} outside (0, 1]", self.util_limit));
-        }
-        if self.epoch_secs == 0 {
-            return Err("epoch_secs must be positive".into());
         }
         if !(0.0..=1.0).contains(&self.max_detour_fraction) {
             return Err(format!(
@@ -146,7 +129,6 @@ mod tests {
         let cfg = ControllerConfig::default();
         cfg.validate().unwrap();
         assert!((cfg.util_limit - 0.95).abs() < 1e-12);
-        assert_eq!(cfg.epoch_secs, 30);
         assert!(!cfg.dry_run);
     }
 
@@ -159,7 +141,6 @@ mod tests {
         };
         assert!(bad(|c| c.util_limit = 0.0));
         assert!(bad(|c| c.util_limit = 1.2));
-        assert!(bad(|c| c.epoch_secs = 0));
         assert!(bad(|c| c.max_detour_fraction = 1.5));
         assert!(bad(|c| c.withdraw_hysteresis = 0.95));
         assert!(bad(|c| c.split_depth = 2));
@@ -172,24 +153,24 @@ mod tests {
     #[test]
     fn degradation_horizons_are_ordered_by_default() {
         let cfg = ControllerConfig::default();
-        assert!(
-            cfg.stale_input_secs >= cfg.epoch_secs,
-            "fresh epochs never degrade"
-        );
+        // 30 s is the simulator's default epoch (`SimConfig::default`).
+        assert!(cfg.stale_input_secs >= 30, "fresh epochs never degrade");
         assert!(cfg.fail_open_secs >= cfg.stale_input_secs);
         assert_eq!(cfg.max_shift_fraction_per_epoch, 1.0, "cap off by default");
     }
 
     #[test]
-    fn incremental_defaults_on_for_old_configs() {
-        // Configs serialized before the flag existed must load with it on.
+    fn configs_with_removed_knobs_still_load() {
+        // Configs written while `epoch_secs` and `incremental` were
+        // controller fields must still load: the keys are ignored.
         let json = serde_json::to_string(&ControllerConfig::default()).unwrap();
         let mut value = serde_json::parse_value(&json).unwrap();
         if let serde::Value::Object(fields) = &mut value {
-            fields.retain(|(key, _)| key != "incremental");
+            fields.push(("epoch_secs".into(), serde::Value::U64(30)));
+            fields.push(("incremental".into(), serde::Value::Bool(false)));
         }
         let back = <ControllerConfig as serde::Deserialize>::from_value(&value).unwrap();
-        assert!(back.incremental);
+        back.validate().unwrap();
     }
 
     #[test]
@@ -211,6 +192,6 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: ControllerConfig = serde_json::from_str(&json).unwrap();
         assert!((back.util_limit - cfg.util_limit).abs() < 1e-12);
-        assert_eq!(back.epoch_secs, cfg.epoch_secs);
+        assert_eq!(back.stale_input_secs, cfg.stale_input_secs);
     }
 }

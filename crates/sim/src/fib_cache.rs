@@ -181,6 +181,33 @@ impl FibCache {
 }
 
 #[cfg(test)]
+impl FibCache {
+    /// Asserts every unit's cached result equals a fresh trie walk, and
+    /// returns how many units a shorter, covering prefix routes. Every
+    /// unit is cached afterwards, so the next batch tests invalidation.
+    pub(crate) fn assert_fresh(
+        &mut self,
+        router: &BgpRouter,
+        slot_of: &HashMap<EgressId, usize>,
+    ) -> usize {
+        let mut covered = 0;
+        for code in self.by_prefix.clone() {
+            let unit = self.unit(code as usize);
+            let fresh = FibCacheEntry::resolve(router, unit, slot_of);
+            assert_eq!(
+                self.lookup(code as usize, router, slot_of),
+                fresh,
+                "unit {unit}"
+            );
+            covered += router
+                .fib_lookup(unit)
+                .is_some_and(|(matched, _)| matched != unit) as usize;
+        }
+        covered
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use ef_bgp::attrs::{AsPath, PathAttributes};
@@ -295,30 +322,6 @@ mod tests {
         units.into()
     }
 
-    /// Asserts every unit's cached result equals a fresh trie walk, and
-    /// returns how many units a shorter, covering prefix routes. Every
-    /// unit is cached afterwards, so the next batch tests invalidation.
-    fn assert_fresh(
-        cache: &mut FibCache,
-        router: &BgpRouter,
-        slot_of: &HashMap<EgressId, usize>,
-    ) -> usize {
-        let mut covered = 0;
-        for code in cache.by_prefix.clone() {
-            let unit = cache.unit(code as usize);
-            let fresh = FibCacheEntry::resolve(router, unit, slot_of);
-            assert_eq!(
-                cache.lookup(code as usize, router, slot_of),
-                fresh,
-                "unit {unit}"
-            );
-            covered += router
-                .fib_lookup(unit)
-                .is_some_and(|(matched, _)| matched != unit) as usize;
-        }
-        covered
-    }
-
     #[test]
     fn cached_results_match_fresh_lookups_under_nested_churn() {
         let prefixes = universe();
@@ -384,7 +387,7 @@ mod tests {
                 let changes = router.take_fib_changes();
                 overflows += changes.is_none() as u32;
                 cache.invalidate(changes);
-                covered += assert_fresh(&mut cache, &router, &slot_of);
+                covered += cache.assert_fresh(&router, &slot_of);
                 checked += cache.by_prefix.len();
             }
             assert!(overflows >= 3, "every full flush overflowed the log");

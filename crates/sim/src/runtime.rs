@@ -116,15 +116,10 @@ pub struct PopRuntime {
     prefix_of: Arc<[Prefix]>,
     epoch_secs: u64,
     util_limit: f64,
-    /// When the controller may split prefixes, demand must be forwarded at
-    /// half-prefix granularity so /25 (or /49) overrides take effect.
-    split_lookup: bool,
-    /// Run the forwarding loop through the FIB cache
-    /// (`SimConfig::incremental`). Off recomputes every lookup from the
-    /// trie — same results, for cross-checking and benchmarking.
-    incremental: bool,
     /// Per-lookup-unit forwarding results, kept current by the router's
-    /// FIB change log.
+    /// FIB change log. When the controller may split prefixes, demand is
+    /// forwarded at half-prefix granularity so /25 (or /49) overrides
+    /// take effect.
     fib_cache: FibCache,
     /// Interface → dense slot in `load_scratch` (position in
     /// `pop.interfaces`, which never reorders).
@@ -276,9 +271,6 @@ impl PopRuntime {
 
         // Controller, started from the initial table and fed by the
         // router's BMP feed from then on.
-        let mut controller_cfg = cfg.controller;
-        controller_cfg.epoch_secs = cfg.epoch_secs;
-        controller_cfg.incremental = cfg.incremental;
         let controller = cfg.controller_enabled.then(|| {
             let interfaces: InterfaceMap = pop
                 .interfaces
@@ -293,7 +285,7 @@ impl PopRuntime {
                     )
                 })
                 .collect();
-            let mut ctl = PopController::new(pop_id.0, controller_cfg, interfaces, &mut router);
+            let mut ctl = PopController::new(pop_id.0, cfg.controller, interfaces, &mut router);
             ctl.set_telemetry(cfg.telemetry.clone());
             ctl.seed_routes(table);
             ctl.ingest_bmp(router.drain_bmp());
@@ -355,8 +347,7 @@ impl PopRuntime {
             .iter()
             .map(|p| p.prefix)
             .collect();
-        let split_lookup = cfg.controller.split_depth > 0;
-        let fib_cache = FibCache::new(Arc::clone(&prefix_of), split_lookup);
+        let fib_cache = FibCache::new(Arc::clone(&prefix_of), cfg.controller.split_depth > 0);
         // The cache starts empty: the load's changes are already covered.
         router.take_fib_changes();
         let slot_of: HashMap<EgressId, usize> = pop
@@ -379,8 +370,6 @@ impl PopRuntime {
             prefix_of,
             epoch_secs: cfg.epoch_secs,
             util_limit: cfg.controller.util_limit,
-            split_lookup,
-            incremental: cfg.incremental,
             fib_cache,
             slot_of,
             load_scratch,
@@ -394,7 +383,7 @@ impl PopRuntime {
             announcements,
             ann_store,
             controller_enabled: cfg.controller_enabled,
-            controller_cfg,
+            controller_cfg: cfg.controller,
             local_asn: deployment.local_asn,
             peer_governors: HashMap::new(),
             peers_wanting_up: BTreeSet::new(),
@@ -896,54 +885,22 @@ impl PopRuntime {
         let mut offered = 0.0f64;
         let mut detoured = 0.0f64;
         self.load_scratch.iter_mut().for_each(|l| *l = 0.0);
-        if self.incremental {
-            // Between routing events every lookup is a vector index
-            // instead of a trie walk. Each install, withdraw or peer flush
-            // since the last tick — the controller's overrides and the
-            // chaos faults included — is in the router's FIB change log,
-            // and re-resolves only the units its prefix covers; a log too
-            // long to list empties the whole cache.
-            self.fib_cache.invalidate(self.router.take_fib_changes());
-            for point in demand {
-                offered += point.mbps;
-                self.fib_cache.forward(
-                    point.prefix_idx as usize,
-                    point.mbps,
-                    &self.router,
-                    &self.slot_of,
-                    &mut self.load_scratch,
-                    &mut detoured,
-                );
-            }
-        } else {
-            // From-scratch arm: a fresh trie walk per unit, as before the
-            // cache existed. Kept for determinism cross-checks and as the
-            // benchmark's uncached reference.
-            for point in demand {
-                offered += point.mbps;
-                let prefix = self.prefix_of[point.prefix_idx as usize];
-                let units: [(Prefix, f64); 2] = if self.split_lookup {
-                    match prefix.halves() {
-                        Some((lo, hi)) => [(lo, point.mbps / 2.0), (hi, point.mbps / 2.0)],
-                        None => [(prefix, point.mbps), (prefix, 0.0)],
-                    }
-                } else {
-                    [(prefix, point.mbps), (prefix, 0.0)]
-                };
-                for (unit, mbps) in units {
-                    if mbps <= 0.0 {
-                        continue;
-                    }
-                    if let Some((_, entry)) = self.router.fib_lookup(unit) {
-                        if let Some(&slot) = self.slot_of.get(&entry.egress) {
-                            self.load_scratch[slot] += mbps;
-                        }
-                        if entry.is_override {
-                            detoured += mbps;
-                        }
-                    }
-                }
-            }
+        // Between routing events every lookup is a vector index instead of
+        // a trie walk. Each install, withdraw or peer flush since the last
+        // tick — the controller's overrides and the chaos faults included —
+        // is in the router's FIB change log, and re-resolves only the units
+        // its prefix covers; a log too long to list empties the whole cache.
+        self.fib_cache.invalidate(self.router.take_fib_changes());
+        for point in demand {
+            offered += point.mbps;
+            self.fib_cache.forward(
+                point.prefix_idx as usize,
+                point.mbps,
+                &self.router,
+                &self.slot_of,
+                &mut self.load_scratch,
+                &mut detoured,
+            );
         }
 
         // --- 2. Record interface metrics -----------------------------------
@@ -1331,7 +1288,7 @@ fn spec_attrs(spec: &RouteSpec) -> PathAttributes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::scenario;
+    use crate::scenario::{scenario, ScenarioBuilder};
     use ef_chaos::FaultSchedule;
     use ef_perf::rtt::PerfConfig;
     use ef_traffic::demand::DemandModel;
@@ -1481,5 +1438,72 @@ mod tests {
         assert!(outcome.residual_overloaded);
         assert!(!sig.fail_open && !sig.epoch_skipped && !sig.controller_missing);
         assert_eq!(sig.input_age_ms, 0);
+    }
+
+    /// The FIB cache stays exact inside the runtime: a chaos schedule
+    /// (peer failures, controller crash-resyncs, injector loss, capacity
+    /// loss) and prefix splitting send every kind of FIB change through
+    /// `step` — organic churn, override injection and withdrawal, peer
+    /// flushes — and after each step every lookup unit's cached entry
+    /// must equal a fresh `fib_lookup`.
+    #[test]
+    fn fib_cache_matches_fresh_lookups_under_chaos_and_splitting() {
+        let base = scenario()
+            .small_topology(11)
+            .duration_secs(900)
+            .epoch_secs(60)
+            .tune_controller(|c| c.split_depth = 1)
+            .build();
+        let deployment = ef_topology::generate(&base.gen);
+        let profile = ef_chaos::ChaosProfile {
+            duration_secs: base.duration_secs,
+            warmup_secs: 120,
+            events: 6,
+            min_fault_secs: 120,
+            max_fault_secs: 240,
+            kinds: Vec::new(),
+        };
+        let mut events = ef_chaos::generate(&profile, &crate::chaos_surface(&deployment), 5)
+            .expect("schedule generates")
+            .events;
+        // A PoP-wide peering outage: every session at one PoP fails in the
+        // same tick, a flush as large as the FIB that overflows the change
+        // log (and so does the recovery, when the peers return together).
+        let outage = &deployment.pops[1];
+        events.extend(outage.peers.iter().map(|conn| FaultEvent {
+            t_start_secs: 300,
+            duration_secs: 120,
+            target: FaultTarget::Peer {
+                pop: outage.id.0 as usize,
+                peer: conn.peer.0,
+            },
+            kind: FaultKind::PeerFailure,
+        }));
+        let schedule = FaultSchedule::new(events).expect("valid schedule");
+        let cfg = ScenarioBuilder::from_config(base).chaos(schedule).build();
+        let demand_model = DemandModel::new(&deployment, cfg.demand_seed);
+        let perf_model = PathPerfModel::new(PerfConfig::default());
+        let (mut flushed, mut covered, mut overrides) = (false, 0, 0);
+        for pop_id in deployment.pops.iter().map(|p| p.id) {
+            let mut pop = PopRuntime::build(&deployment, pop_id, &cfg);
+            for t_secs in (0..cfg.duration_secs).step_by(cfg.epoch_secs as usize) {
+                let demand = demand_model.offered(&deployment, pop_id, t_secs);
+                pop.step(t_secs, &demand, &perf_model);
+                flushed |= pop.router.fib_len() == 0;
+                // As the next step's forwarding loop would.
+                pop.fib_cache.invalidate(pop.router.take_fib_changes());
+                covered += pop.fib_cache.assert_fresh(&pop.router, &pop.slot_of);
+                overrides += pop
+                    .controller
+                    .as_ref()
+                    .map_or(0, |c| c.active_overrides().len());
+            }
+        }
+        assert!(
+            flushed,
+            "the outage emptied a FIB, overflowing its change log"
+        );
+        assert!(covered > 0, "split halves route via their covering prefix");
+        assert!(overrides > 0, "the controller steered");
     }
 }

@@ -75,13 +75,6 @@ pub struct SimConfig {
     /// perf smoke flips it to bound the meter's overhead.
     #[serde(default = "default_billing")]
     pub billing: bool,
-    /// Run the epoch hot paths incrementally: the controller's projection
-    /// memo and the runtime's prefix-invalidated FIB lookup cache (this flag
-    /// is copied over `controller.incremental` at build time). Results are
-    /// byte-identical either way — the determinism suite and the perf
-    /// benches flip it to compare against the from-scratch paths.
-    #[serde(default = "default_incremental")]
-    pub incremental: bool,
     /// Telemetry pipeline every PoP controller (and the engine's fault
     /// bookkeeping) reports into. Disabled by default; never serialized —
     /// a sink is an I/O handle, not part of the scenario, and keeping it
@@ -106,14 +99,9 @@ impl Default for SimConfig {
             chaos: None,
             health: None,
             billing: true,
-            incremental: true,
             telemetry: ef_telemetry::TelemetryHandle::disabled(),
         }
     }
-}
-
-fn default_incremental() -> bool {
-    true
 }
 
 fn default_billing() -> bool {
@@ -334,14 +322,6 @@ impl ScenarioBuilder {
             .get_or_insert_with(Default::default)
             .aware
             .cost_vs_rtt = ms_per_usd_mbps;
-        self
-    }
-
-    /// Flips the incremental hot paths (projection memo, FIB cache).
-    /// Results are byte-identical either way; the determinism suite and
-    /// perf benches compare both.
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.cfg.incremental = on;
         self
     }
 

@@ -64,7 +64,7 @@ fn baseline_arm_is_deterministic_too() {
     assert_eq!(a, b);
 }
 
-/// The chaos schedule the cache-equivalence tests reuse.
+/// The chaos schedule the telemetry-invariance test runs under.
 fn chaos_schedule(cfg: &SimConfig) -> ef_chaos::FaultSchedule {
     let deployment = ef_topology::generate(&cfg.gen);
     let profile = ef_chaos::ChaosProfile {
@@ -77,32 +77,6 @@ fn chaos_schedule(cfg: &SimConfig) -> ef_chaos::FaultSchedule {
     };
     ef_chaos::generate(&profile, &ef_sim::chaos_surface(&deployment), 5)
         .expect("schedule generates")
-}
-
-#[test]
-fn caches_off_matches_caches_on() {
-    // The incremental epoch engine (projection memo + FIB lookup cache) is
-    // an implementation strategy, not a semantic change: flipping it off
-    // must reproduce the exact same bytes.
-    let cached = fingerprint(short(11).build());
-    let scratch = fingerprint(short(11).incremental(false).build());
-    assert_eq!(cached, scratch, "caching changed the results");
-}
-
-#[test]
-fn caches_off_matches_caches_on_under_chaos_and_splitting() {
-    // Same equivalence where it is hardest to keep: faults invalidate the
-    // caches mid-run (peer failures, controller crash-resync, capacity
-    // loss) and prefix splitting doubles the lookup units per prefix.
-    let base = short(11).tune_controller(|c| c.split_depth = 1).build();
-    let schedule = chaos_schedule(&base);
-    let cfg = ScenarioBuilder::from_config(base).chaos(schedule).build();
-    let cached = fingerprint(cfg.clone());
-    let scratch = fingerprint(ScenarioBuilder::from_config(cfg).incremental(false).build());
-    assert_eq!(
-        cached, scratch,
-        "caching changed the results under chaos with splitting"
-    );
 }
 
 /// A global-tier configuration aggressive enough to actually engage in
